@@ -1,45 +1,35 @@
-"""Hot numeric kernels for the flow inner loop.
+"""Hot numeric kernels for the flow inner loop, vectorized with numpy.
 
-Two implementations of each kernel exist: a numba ``@njit`` loop version
-and a vectorized pure-numpy version.  Setting the environment variable
-``RICCIDISK_PURE_NUMPY=1`` before import selects the numpy path; this is
-the fallback for environments without a working numba and the baseline
-for ``benchmarks/bench_kernels.py``.
-
-All reductions run in a fixed left-to-right order with compensated
-accumulation, so results are bit-reproducible across runs for a given
-backend.
+Reductions go through ``math.fsum``, which is exactly rounded and so
+independent of summation order; results are bit-reproducible across runs.
 
 Array conventions: scalar fields are C-contiguous float64 arrays of shape
 (n_r, n_theta); ghost rings and boundary fields have shape (n_theta,).
 """
 
 import math
-import os
 
 import numpy as np
 
-PURE_NUMPY = os.environ.get("RICCIDISK_PURE_NUMPY", "0") == "1"
-
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        PURE_NUMPY = True
-
-USING_NUMBA = not PURE_NUMPY
+# kept for tools that record the environment; there is no other backend
+USING_NUMBA = False
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
+def kahan_sum(values):
+    """Exactly rounded sum of a 1-d float64 array (``math.fsum``).
 
-def _kahan_sum_numpy(values):
-    # math.fsum is exactly rounded and order-deterministic, which is at
-    # least as strong as the compensated-summation contract.
-    return math.fsum(values)
+    Exact rounding is at least as strong as compensated summation and does
+    not depend on the order of the terms.
+    """
+    return math.fsum(np.ascontiguousarray(values, dtype=np.float64))
 
 
-def _flux_laplacian_numpy(phi, ghost, r, dr, dtheta):
+def flux_laplacian(phi, ghost, r, dr, dtheta):
+    """Flat polar Laplacian in conservative flux form.
+
+    Zero flux area at the pole closes the inner edge; ``ghost`` supplies
+    the value ring at r = 1 + dr/2.
+    """
     n_r, n_t = phi.shape
     rp = r + 0.5 * dr
     rm = r - 0.5 * dr
@@ -61,12 +51,17 @@ def _flux_laplacian_numpy(phi, ghost, r, dr, dtheta):
     return lap
 
 
-def _curvature_numpy(u, ghost, r, dr, dtheta):
-    return -np.exp(-u) * _flux_laplacian_numpy(u, ghost, r, dr, dtheta)
+def curvature(u, ghost, r, dr, dtheta):
+    """Scalar curvature R = -exp(-u) * lap0(u) of the metric exp(u) g0."""
+    return -np.exp(-u) * flux_laplacian(u, ghost, r, dr, dtheta)
 
 
-def _laplacian_row_numpy(phi, i, r, dr, dtheta):
-    """Flux-form Laplacian restricted to interior row i (no ghost needed)."""
+def _laplacian_row(phi, i, r, dr, dtheta):
+    """Flux-form Laplacian restricted to interior row i (no ghost needed).
+
+    The ghost closure needs only two rows; slicing them out of a full
+    ``flux_laplacian`` would give the same bytes at a higher cost per step.
+    """
     n_r, n_t = phi.shape
     rp = r[i] + 0.5 * dr
     rm = r[i] - 0.5 * dr if i > 0 else 0.0
@@ -79,16 +74,16 @@ def _laplacian_row_numpy(phi, i, r, dr, dtheta):
     return row
 
 
-def _curvature_ghost_numpy(u, r, dr, dtheta):
-    """Ghost ring making the one-sided boundary derivative of R vanish.
+def curvature_neumann_ghost(u, r, dr, dtheta):
+    """Ghost ring of u enforcing the discrete curvature Neumann condition.
 
     The outward derivative of R at r=1 is extrapolated from the last three
     interior rings; only R on the outermost ring depends on the ghost, and
     it does so linearly, so the closure is a direct per-node solve.
     """
     n_r, n_t = u.shape
-    r_m2 = -np.exp(-u[n_r - 2]) * _laplacian_row_numpy(u, n_r - 2, r, dr, dtheta)
-    r_m3 = -np.exp(-u[n_r - 3]) * _laplacian_row_numpy(u, n_r - 3, r, dr, dtheta)
+    r_m2 = -np.exp(-u[n_r - 2]) * _laplacian_row(u, n_r - 2, r, dr, dtheta)
+    r_m3 = -np.exp(-u[n_r - 3]) * _laplacian_row(u, n_r - 3, r, dr, dtheta)
     r_target = 1.5 * r_m2 - 0.5 * r_m3
 
     i = n_r - 1
@@ -101,134 +96,3 @@ def _curvature_ghost_numpy(u, r, dr, dtheta):
         )
     # rp = 1 at the r=1 cell face
     return u[i] + r[i] * dr * dr * (lap_target - ang) + rm * (u[i] - u[i - 1])
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _kahan_sum_numba(values):
-        s = 0.0
-        c = 0.0
-        for k in range(values.shape[0]):
-            y = values[k] - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        return s
-
-    @njit(cache=True)
-    def _flux_laplacian_numba(phi, ghost, r, dr, dtheta):
-        n_r, n_t = phi.shape
-        lap = np.empty((n_r, n_t))
-        inv_dr2 = 1.0 / (dr * dr)
-        inv_dth2 = 1.0 / (dtheta * dtheta) if n_t > 1 else 0.0
-        for i in range(n_r):
-            rp = r[i] + 0.5 * dr
-            rm = r[i] - 0.5 * dr if i > 0 else 0.0
-            for j in range(n_t):
-                up = phi[i + 1, j] if i < n_r - 1 else ghost[j]
-                down = phi[i - 1, j] if i > 0 else 0.0
-                val = (rp * (up - phi[i, j]) - rm * (phi[i, j] - down)) * inv_dr2 / r[i]
-                if n_t > 1:
-                    jp = j + 1 if j < n_t - 1 else 0
-                    jm = j - 1 if j > 0 else n_t - 1
-                    val += (phi[i, jp] - 2.0 * phi[i, j] + phi[i, jm]) * inv_dth2 / (
-                        r[i] * r[i]
-                    )
-                lap[i, j] = val
-        return lap
-
-    @njit(cache=True)
-    def _curvature_numba(u, ghost, r, dr, dtheta):
-        lap = _flux_laplacian_numba(u, ghost, r, dr, dtheta)
-        n_r, n_t = u.shape
-        out = np.empty((n_r, n_t))
-        for i in range(n_r):
-            for j in range(n_t):
-                out[i, j] = -math.exp(-u[i, j]) * lap[i, j]
-        return out
-
-    @njit(cache=True)
-    def _laplacian_row_numba(phi, i, r, dr, dtheta):
-        n_r, n_t = phi.shape
-        row = np.empty(n_t)
-        rp = r[i] + 0.5 * dr
-        rm = r[i] - 0.5 * dr if i > 0 else 0.0
-        inv_dr2 = 1.0 / (dr * dr)
-        inv_dth2 = 1.0 / (dtheta * dtheta) if n_t > 1 else 0.0
-        for j in range(n_t):
-            down = phi[i - 1, j] if i > 0 else 0.0
-            val = (rp * (phi[i + 1, j] - phi[i, j]) - rm * (phi[i, j] - down)) * (
-                inv_dr2 / r[i]
-            )
-            if n_t > 1:
-                jp = j + 1 if j < n_t - 1 else 0
-                jm = j - 1 if j > 0 else n_t - 1
-                val += (phi[i, jp] - 2.0 * phi[i, j] + phi[i, jm]) * inv_dth2 / (
-                    r[i] * r[i]
-                )
-            row[j] = val
-        return row
-
-    @njit(cache=True)
-    def _curvature_ghost_numba(u, r, dr, dtheta):
-        n_r, n_t = u.shape
-        lap2 = _laplacian_row_numba(u, n_r - 2, r, dr, dtheta)
-        lap3 = _laplacian_row_numba(u, n_r - 3, r, dr, dtheta)
-        ghost = np.empty(n_t)
-        i = n_r - 1
-        rm = r[i] - 0.5 * dr
-        inv_dth2 = 1.0 / (dtheta * dtheta) if n_t > 1 else 0.0
-        for j in range(n_t):
-            r_m2 = -math.exp(-u[n_r - 2, j]) * lap2[j]
-            r_m3 = -math.exp(-u[n_r - 3, j]) * lap3[j]
-            r_target = 1.5 * r_m2 - 0.5 * r_m3
-            lap_target = -r_target * math.exp(u[i, j])
-            ang = 0.0
-            if n_t > 1:
-                jp = j + 1 if j < n_t - 1 else 0
-                jm = j - 1 if j > 0 else n_t - 1
-                ang = (u[i, jp] - 2.0 * u[i, j] + u[i, jm]) * inv_dth2 / (r[i] * r[i])
-            ghost[j] = (
-                u[i, j] + r[i] * dr * dr * (lap_target - ang) + rm * (u[i, j] - u[i - 1, j])
-            )
-        return ghost
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-
-def kahan_sum(values):
-    """Deterministic compensated sum of a 1-d float64 array."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if USING_NUMBA:
-        return _kahan_sum_numba(values)
-    return _kahan_sum_numpy(values)
-
-
-def flux_laplacian(phi, ghost, r, dr, dtheta):
-    """Flat polar Laplacian in conservative flux form.
-
-    Zero flux area at the pole closes the inner edge; ``ghost`` supplies
-    the value ring at r = 1 + dr/2.
-    """
-    if USING_NUMBA:
-        return _flux_laplacian_numba(phi, ghost, r, dr, dtheta)
-    return _flux_laplacian_numpy(phi, ghost, r, dr, dtheta)
-
-
-def curvature(u, ghost, r, dr, dtheta):
-    """Scalar curvature R = -exp(-u) * lap0(u) of the metric exp(u) g0."""
-    if USING_NUMBA:
-        return _curvature_numba(u, ghost, r, dr, dtheta)
-    return _curvature_numpy(u, ghost, r, dr, dtheta)
-
-
-def curvature_neumann_ghost(u, r, dr, dtheta):
-    """Ghost ring of u enforcing the discrete curvature Neumann condition."""
-    if USING_NUMBA:
-        return _curvature_ghost_numba(u, r, dr, dtheta)
-    return _curvature_ghost_numpy(u, r, dr, dtheta)

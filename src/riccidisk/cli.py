@@ -150,44 +150,42 @@ def cmd_run(config_path: str) -> int:
     return EXIT_OK
 
 
-_TRAJ_CHECKS = {
-    "hamilton", "guo", "avg_evolution", "kappa_evolution",
-    "normal_lemmas", "second_derivative_N",
-}
-_STATIC_CHECKS = {
-    "reilly", "lemma_useful", "lemma_time2", "relation",
-    "negctrl_incompatible_bc", "negctrl_relation_corrupt",
-}
-KNOWN_CHECKS = _TRAJ_CHECKS | _STATIC_CHECKS
+def _manufactured_f(grid):
+    fields = V.manufactured_fields(grid)
+    return fields["mode2"] if grid.n_theta > 1 else fields["radial_bump"]
 
 
-def _run_check(name, cfg, grid, initial, traj, wp):
-    if name == "hamilton":
-        return V.check_theorem_hamilton(traj)
-    if name == "guo":
-        return V.check_theorem_guo(traj, wp)
-    if name == "avg_evolution":
-        return V.check_avg_evolution(traj)
-    if name == "kappa_evolution":
-        return V.check_kappa_evolution(traj)
-    if name == "normal_lemmas":
-        return V.check_normal_lemmas(traj)
-    if name == "second_derivative_N":
-        return V.check_second_derivative_N(traj)
-    if name in ("reilly", "lemma_useful"):
-        fields = V.manufactured_fields(grid)
-        f = fields["mode2"] if grid.n_theta > 1 else fields["radial_bump"]
-        check = V.check_reilly if name == "reilly" else V.check_lemma_useful
-        return check(initial, f)
-    if name == "lemma_time2":
-        return V.check_lemma_time2(initial)
-    if name == "relation":
-        return V.check_relation(initial, wp, 0.0)
-    if name == "negctrl_incompatible_bc":
-        return V.negctrl_incompatible_bc(grid)
-    if name == "negctrl_relation_corrupt":
-        return V.negctrl_relation_corrupt(initial, wp, 0.0)
-    raise ConfigurationError(f"unknown check {name!r}")
+# check name -> (needs a trajectory, report builder(grid, initial, traj, wp))
+_CHECKS = {
+    "hamilton": (True, lambda grid, m, traj, wp: V.check_theorem_hamilton(traj)),
+    "guo": (True, lambda grid, m, traj, wp: V.check_theorem_guo(traj, wp)),
+    "avg_evolution": (True, lambda grid, m, traj, wp: V.check_avg_evolution(traj)),
+    "kappa_evolution": (True, lambda grid, m, traj, wp: V.check_kappa_evolution(traj)),
+    "normal_lemmas": (True, lambda grid, m, traj, wp: V.check_normal_lemmas(traj)),
+    "second_derivative_N": (
+        True, lambda grid, m, traj, wp: V.check_second_derivative_N(traj)
+    ),
+    "reilly": (False, lambda grid, m, traj, wp: V.check_reilly(m, _manufactured_f(grid))),
+    "lemma_useful": (
+        False, lambda grid, m, traj, wp: V.check_lemma_useful(m, _manufactured_f(grid))
+    ),
+    "lemma_time2": (False, lambda grid, m, traj, wp: V.check_lemma_time2(m)),
+    "relation": (False, lambda grid, m, traj, wp: V.check_relation(m, wp, 0.0)),
+    "negctrl_incompatible_bc": (
+        False, lambda grid, m, traj, wp: V.negctrl_incompatible_bc(grid)
+    ),
+    "negctrl_relation_corrupt": (
+        False, lambda grid, m, traj, wp: V.negctrl_relation_corrupt(m, wp, 0.0)
+    ),
+}
+KNOWN_CHECKS = frozenset(_CHECKS)
+
+
+def _run_check(name, grid, initial, traj, wp):
+    if name not in _CHECKS:
+        raise ConfigurationError(f"unknown check {name!r}")
+    _, build = _CHECKS[name]
+    return build(grid, initial, traj, wp)
 
 
 def cmd_verify(config_path: str) -> int:
@@ -203,10 +201,10 @@ def cmd_verify(config_path: str) -> int:
         initial = perturbed_cap(cfg.cap, cfg.perturbation, grid)
         wp = WParams(cfg.w_horizon)
         traj = None
-        if any(c in _TRAJ_CHECKS for c in cfg.checks):
+        if any(_CHECKS[c][0] for c in cfg.checks):
             traj = run(initial, cfg.schedule, cfg.w_horizon)
 
-        reports = [_run_check(c, cfg, grid, initial, traj, wp) for c in cfg.checks]
+        reports = [_run_check(c, grid, initial, traj, wp) for c in cfg.checks]
         with open(cfg.report_jsonl, "w", encoding="utf-8", newline="\n") as fh:
             for rep in reports:
                 fh.write(rep.to_json() + "\n")

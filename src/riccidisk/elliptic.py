@@ -102,18 +102,12 @@ def solve_poisson_neumann(rho, m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSo
         return NeumannSolution(np.zeros_like(m.u), compat, 0.0)
 
     maxiter = 10 * n
-    residuals = []
-
-    def track(xk):
-        residuals.append(float(np.linalg.norm(b + A @ xk)))
-
-    x, info = spla.cg(-A, -b, rtol=tol, atol=0.0, maxiter=maxiter, callback=track)
+    x, info = spla.cg(-A, -b, rtol=tol, atol=0.0, maxiter=maxiter)
     lin_res = float(np.linalg.norm(A @ x - b)) / b_norm
     if info != 0:
         raise SolverError(
             f"CG failed to converge within {maxiter} iterations "
-            f"(relative residual {lin_res:.3e})",
-            residual_history=residuals,
+            f"(relative residual {lin_res:.3e})"
         )
 
     f = x.reshape(m.u.shape)

@@ -21,17 +21,15 @@ from .errors import DomainError
 from .geometry import (
     ConformalMetric,
     EULER_CHARACTERISTIC,
-    gauss_bonnet_residual,
     geodesic_curvature,
     grad_diff_norm_sq,
-    hessian,
     metric_grad_norm_sq,
     scalar_curvature,
+    shifted_hessian,
     tensor_norm_sq,
     volume,
 )
 from .grid import (
-    TensorField,
     boundary_tangential_derivative,
     boundary_value,
     integrate_boundary,
@@ -70,41 +68,66 @@ def average_R(m: ConformalMetric) -> float:
     return integrate_volume(R, m) / volume(m)
 
 
-def _positive_curvature(m):
+@dataclass(frozen=True)
+class _Snapshot:
+    """Curvature quantities of one metric, evaluated once and shared.
+
+    Every functional below accepts a metric or a snapshot of it, so
+    :func:`make_record` evaluates R, kappa and their integrals once per
+    record instead of once per functional.
+    """
+
+    metric: ConformalMetric
+    R: np.ndarray
+    log_R: np.ndarray
+    v_M: float
+    int_R: float
+    R_bar: float
+    kappa: np.ndarray
+    int_kappa: float
+
+
+def _snapshot(m) -> _Snapshot:
+    if isinstance(m, _Snapshot):
+        return m
     R = scalar_curvature(m)
     r_min = float(R.min())
-    if r_min <= 0.0:
-        raise DomainError(f"min R = {r_min:.3e} <= 0: log R undefined")
-    return R
+    # written so that a NaN curvature fails too
+    if not r_min > 0.0:
+        raise DomainError(f"min R = {r_min:.3e} is not positive: log R undefined")
+    v_m = volume(m)
+    int_r = integrate_volume(R, m)
+    kappa = geodesic_curvature(m)
+    return _Snapshot(
+        m, R, np.log(R), v_m, int_r, int_r / v_m, kappa, integrate_boundary(kappa, m)
+    )
+
+
+def _tau(wp: WParams, t: float) -> float:
+    tau = wp.w_horizon - t
+    if tau <= 0.0:
+        raise DomainError(f"tau = {tau:.3e} <= 0")
+    return tau
 
 
 def hamilton_entropy(m: ConformalMetric) -> float:
     """E = int R log(R / Rbar) dv; nonnegative by the discrete Jensen gap."""
-    R = _positive_curvature(m)
-    int_r = integrate_volume(R, m)
-    r_bar = int_r / volume(m)
-    return integrate_volume(R * np.log(R), m) - log(r_bar) * int_r
+    s = _snapshot(m)
+    return integrate_volume(s.R * s.log_R, s.metric) - log(s.R_bar) * s.int_R
 
 
 def w_functional(m: ConformalMetric, wp: WParams, t: float) -> float:
-    tau = wp.w_horizon - t
-    if tau <= 0.0:
-        raise DomainError(f"tau = {tau:.3e} <= 0")
-    R = _positive_curvature(m)
-    log_r = np.log(R)
-    grad_log_r_sq = metric_grad_norm_sq(log_r, m)
-    integrand = (tau * (R - grad_log_r_sq) - log_r - log(tau)) * R
-    kappa = geodesic_curvature(m)
-    return integrate_volume(integrand, m) - 2.0 * log(tau) * integrate_boundary(kappa, m)
+    tau = _tau(wp, t)
+    s = _snapshot(m)
+    grad_log_r_sq = metric_grad_norm_sq(s.log_R, s.metric)
+    integrand = (tau * (s.R - grad_log_r_sq) - s.log_R - log(tau)) * s.R
+    return integrate_volume(integrand, s.metric) - 2.0 * log(tau) * s.int_kappa
 
 
-def _soliton_tensor(m, f, R, r_bar, ghost):
-    """T = R g / 2 + Hess f - Rbar g / 2 in polar components."""
-    h = hessian(f, m, ghost=ghost)
-    e_u = np.exp(m.u)
-    r2 = m.grid.r[:, None] ** 2
-    half = 0.5 * (R - r_bar) * e_u
-    return TensorField(h.rr + half, h.rt, h.tt + half * r2)
+def _soliton_norm_sq(s: _Snapshot, f) -> float:
+    """int |R g/2 + Hess f - Rbar g/2|^2 dv, with the zero-flux closure of f."""
+    T = shifted_hessian(f, s.metric, 0.5 * (s.R - s.R_bar), ghost="mirror")
+    return integrate_volume(tensor_norm_sq(T, s.metric), s.metric)
 
 
 def _boundary_grad_norm_sq(field, m):
@@ -124,15 +147,11 @@ def dE_dt_rhs(m: ConformalMetric, f) -> float:
     ``f`` is the Neumann potential from the elliptic module; its zero-flux
     ghost closure matches the boundary condition it was solved under.
     """
-    R = _positive_curvature(m)
-    r_bar = integrate_volume(R, m) / volume(m)
-    log_r = np.log(R)
-
-    term1 = integrate_volume(R * grad_diff_norm_sq(f, log_r, m, ghost_a="mirror"), m)
-    T = _soliton_tensor(m, f, R, r_bar, ghost="mirror")
-    term2 = 2.0 * integrate_volume(tensor_norm_sq(T, m), m)
-    kappa = geodesic_curvature(m)
-    term3 = 2.0 * integrate_boundary(kappa * _boundary_grad_norm_sq(f, m), m)
+    s = _snapshot(m)
+    m = s.metric
+    term1 = integrate_volume(s.R * grad_diff_norm_sq(f, s.log_R, m, ghost_a="mirror"), m)
+    term2 = 2.0 * _soliton_norm_sq(s, f)
+    term3 = 2.0 * integrate_boundary(s.kappa * _boundary_grad_norm_sq(f, m), m)
     return -(term1 + term2) - term3
 
 
@@ -142,42 +161,28 @@ def dW_dt_rhs(m: ConformalMetric, wp: WParams, t: float) -> float:
     2 tau int R |R g/2 + Hess log R - g/(2 tau)|^2 dv
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
-    tau = wp.w_horizon - t
-    if tau <= 0.0:
-        raise DomainError(f"tau = {tau:.3e} <= 0")
-    R = _positive_curvature(m)
-    log_r = np.log(R)
-
-    h = hessian(log_r, m)
-    e_u = np.exp(m.u)
-    r2 = m.grid.r[:, None] ** 2
-    half = (0.5 * R - 0.5 / tau) * e_u
-    T = TensorField(h.rr + half, h.rt, h.tt + half * r2)
-    interior = 2.0 * tau * integrate_volume(R * tensor_norm_sq(T, m), m)
-
-    kappa = geodesic_curvature(m)
-    R_b = boundary_value(R)
+    tau = _tau(wp, t)
+    s = _snapshot(m)
+    m = s.metric
+    T = shifted_hessian(s.log_R, m, 0.5 * s.R - 0.5 / tau)
+    interior = 2.0 * tau * integrate_volume(s.R * tensor_norm_sq(T, m), m)
+    R_b = boundary_value(s.R)
     bnd = 2.0 * tau * integrate_boundary(
-        kappa * (R_b * _boundary_grad_norm_sq(log_r, m) + 1.0 / tau**2), m
+        s.kappa * (R_b * _boundary_grad_norm_sq(s.log_R, m) + 1.0 / tau**2), m
     )
     return interior + bnd
 
 
 def dE_dt_analytic(m: ConformalMetric) -> float:
     """dE/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv - v Rbar^2."""
-    R = _positive_curvature(m)
-    v_m = volume(m)
-    r_bar = integrate_volume(R, m) / v_m
-    grad_log_r_sq = metric_grad_norm_sq(np.log(R), m)
-    return integrate_volume((R - grad_log_r_sq) * R, m) - v_m * r_bar**2
+    s = _snapshot(m)
+    grad_log_r_sq = metric_grad_norm_sq(s.log_R, s.metric)
+    return integrate_volume((s.R - grad_log_r_sq) * s.R, s.metric) - s.v_M * s.R_bar**2
 
 
 def soliton_residual_L2(m: ConformalMetric, f) -> float:
     """L2(dv) norm of R g/2 + Hess f - Rbar g/2 (vanishes on shrinking solitons)."""
-    R = scalar_curvature(m)
-    r_bar = integrate_volume(R, m) / volume(m)
-    T = _soliton_tensor(m, f, R, r_bar, ghost="mirror")
-    return sqrt(max(integrate_volume(tensor_norm_sq(T, m), m), 0.0))
+    return sqrt(max(_soliton_norm_sq(_snapshot(m), f), 0.0))
 
 
 def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -> float:
@@ -189,23 +194,16 @@ def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -
     estimate); by default use :func:`dE_dt_analytic` so the residual isolates
     the algebraic identity from time-discretization error.
     """
-    tau = wp.w_horizon - t
-    if tau <= 0.0:
-        raise DomainError(f"tau = {tau:.3e} <= 0")
-    R = _positive_curvature(m)
-    v_m = volume(m)
-    int_r = integrate_volume(R, m)
-    r_bar = int_r / v_m
-    e_val = hamilton_entropy(m)
-    w_val = w_functional(m, wp, t)
+    tau = _tau(wp, t)
+    s = _snapshot(m)
     rhs_val = (
         tau * dE_dt
-        - e_val
+        - hamilton_entropy(s)
         - 4.0 * pi * EULER_CHARACTERISTIC * log(tau)
-        + tau * v_m * r_bar**2
-        - log(r_bar) * int_r
+        + tau * s.v_M * s.R_bar**2
+        - log(s.R_bar) * s.int_R
     )
-    return abs(w_val - rhs_val)
+    return abs(w_functional(s, wp, t) - rhs_val)
 
 
 def entropy_euler_form(traj) -> list:
@@ -250,29 +248,25 @@ def entropy_euler_form(traj) -> list:
 def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord:
     """Assemble the per-snapshot diagnostics used by the flow and CLI."""
     wp = WParams(w_horizon)
-    tau = w_horizon - t
-    R = scalar_curvature(m)
-    v_m = volume(m)
-    int_r = integrate_volume(R, m)
-    r_bar = int_r / v_m
-    n_partial = integrate_volume(R * np.log(R), m)
-    r_partial = log(r_bar) * int_r
-    kappa = geodesic_curvature(m)
+    s = _snapshot(m)
+    n_partial = integrate_volume(s.R * s.log_R, m)
+    r_partial = log(s.R_bar) * s.int_R
     sol = potential_f(m)
     return EntropyRecord(
         t=t,
-        tau=tau,
-        v_M=v_m,
-        R_bar=r_bar,
+        tau=w_horizon - t,
+        v_M=s.v_M,
+        R_bar=s.R_bar,
         E_partial=n_partial - r_partial,
         N_partial=n_partial,
         R_partial=r_partial,
-        W_partial=w_functional(m, wp, t),
-        min_R=float(R.min()),
-        gauss_bonnet_res=gauss_bonnet_residual(m),
-        dE_dt_rhs=dE_dt_rhs(m, sol.f),
-        dW_dt_rhs=dW_dt_rhs(m, wp, t),
-        soliton_residual_L2=soliton_residual_L2(m, sol.f),
-        kappa_min=float(kappa.min()),
-        kappa_max=float(kappa.max()),
+        W_partial=w_functional(s, wp, t),
+        min_R=float(s.R.min()),
+        # geometry.gauss_bonnet_residual, from the integrals already at hand
+        gauss_bonnet_res=abs(s.int_R + 2.0 * s.int_kappa - 4.0 * pi * EULER_CHARACTERISTIC),
+        dE_dt_rhs=dE_dt_rhs(s, sol.f),
+        dW_dt_rhs=dW_dt_rhs(s, wp, t),
+        soliton_residual_L2=soliton_residual_L2(s, sol.f),
+        kappa_min=float(s.kappa.min()),
+        kappa_max=float(s.kappa.max()),
     )

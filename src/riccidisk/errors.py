@@ -28,10 +28,6 @@ class CompatibilityError(RicciDiskError):
 class SolverError(RicciDiskError):
     """The linear solver failed to reach the requested tolerance."""
 
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history or []
-
 
 class BoundaryClosureError(RicciDiskError):
     """The curvature-Neumann ghost closure could not be computed."""

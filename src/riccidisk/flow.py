@@ -97,9 +97,10 @@ def step(s: FlowState, dt: float) -> FlowState:
     u_new = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     m_new = _stage_metric(u_new, m0)
     r_min = float(scalar_curvature(m_new).min())
-    if r_min <= 0.0:
+    if not r_min > 0.0:  # NaN fails too
         raise PositivityError(
-            f"min R = {r_min:.3e} <= 0 after step to t = {s.t + dt:.6g}", min_r=r_min
+            f"min R = {r_min:.3e} is not positive after step to t = {s.t + dt:.6g}",
+            min_r=r_min,
         )
     return FlowState(s.t + dt, m_new)
 
@@ -118,9 +119,9 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
 
     state = FlowState(0.0, enforce_curvature_neumann(initial))
     r0_min = float(scalar_curvature(state.metric).min())
-    if r0_min <= 0.0:
+    if not r0_min > 0.0:  # NaN fails too
         raise PositivityError(
-            f"initial metric has min R = {r0_min:.3e} <= 0", min_r=r0_min
+            f"initial metric has min R = {r0_min:.3e}, not positive", min_r=r0_min
         )
 
     traj = FlowTrajectory()

@@ -114,6 +114,17 @@ def hessian(f, m: ConformalMetric, ghost=None) -> TensorField:
     return TensorField(h_rr, h_rt, h_tt)
 
 
+def shifted_hessian(f, m: ConformalMetric, c, ghost=None) -> TensorField:
+    """Hess f + c g for a scalar or pointwise field c.
+
+    This is the tensor of every soliton-type term: c = (R - Rbar)/2 for the
+    Hamilton entropy, R/2 - 1/(2 tau) for W, and R/2 for d^2 N/dt^2.
+    """
+    h = hessian(f, m, ghost=ghost)
+    cg = c * np.exp(m.u)
+    return TensorField(h.rr + cg, h.rt, h.tt + cg * m.grid.r[:, None] ** 2)
+
+
 def metric_tensor(m: ConformalMetric) -> TensorField:
     e_u = np.exp(m.u)
     r2 = m.grid.r[:, None] ** 2

@@ -32,12 +32,12 @@ from .geometry import (
     metric_grad_norm_sq,
     normal_derivative,
     scalar_curvature,
+    shifted_hessian,
     tensor_norm_sq,
 )
 from .grid import (
     GridSpec,
     PolarGrid,
-    TensorField,
     boundary_value,
     build_grid,
     integrate_boundary,
@@ -358,11 +358,7 @@ def check_second_derivative_N(traj) -> IdentityReport:
     m = traj.snapshots[k].metric
     R = scalar_curvature(m)
     log_r = np.log(R)
-    h = hessian(log_r, m)
-    e_u = np.exp(m.u)
-    r2 = m.grid.r[:, None] ** 2
-    half = 0.5 * R * e_u
-    T = TensorField(h.rr + half, h.rt, h.tt + half * r2)
+    T = shifted_hessian(log_r, m, 0.5 * R)
     kappa = geodesic_curvature(m)
     R_b = boundary_value(R)
     db = boundary_value(log_r)

@@ -18,7 +18,7 @@ from riccidisk.entropy import (
 )
 from riccidisk.errors import DomainError
 from riccidisk.flow import FlowSchedule, run
-from riccidisk.geometry import make_metric
+from riccidisk.geometry import gauss_bonnet_residual, make_metric
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
@@ -56,6 +56,14 @@ def test_entropy_rejects_nonpositive_curvature(grid_1d):
         hamilton_entropy(make_metric(u, grid_1d))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_entropy_rejects_nan_curvature():
+    # exp(800) overflows, so R = -inf * 0 is NaN everywhere
+    grid = build_grid(GridSpec(16, 1))
+    with pytest.raises(DomainError):
+        hamilton_entropy(make_metric(np.full((16, 1), -800.0), grid))
+
+
 def test_entropy_nonnegative_on_perturbed_caps(grid_2d):
     for mode, eps in [(0, 0.05), (2, 0.05), (3, 0.03)]:
         m = perturbed_cap(CapParams(0.6), PerturbationParams(eps, mode), grid_2d)
@@ -72,6 +80,22 @@ def test_record_partials_are_consistent(grid_1d):
     assert rec.tau == 1.0
     assert rec.min_R > 0.0
     assert rec.kappa_min <= rec.kappa_max
+
+
+@pytest.mark.parametrize("grid_name, mode", [("grid_1d", 0), ("grid_2d", 2)])
+def test_record_matches_standalone_functions(request, grid_name, mode):
+    m = perturbed_cap(
+        CapParams(0.5), PerturbationParams(0.05, mode), request.getfixturevalue(grid_name)
+    )
+    t, wp = 0.1, WParams(1.0)
+    rec = make_record(m, t, wp.w_horizon)
+    f = potential_f(m).f
+    assert rec.W_partial == w_functional(m, wp, t)
+    assert rec.dE_dt_rhs == dE_dt_rhs(m, f)
+    assert rec.dW_dt_rhs == dW_dt_rhs(m, wp, t)
+    assert rec.soliton_residual_L2 == soliton_residual_L2(m, f)
+    assert rec.gauss_bonnet_res == gauss_bonnet_residual(m)
+    assert rec.E_partial == hamilton_entropy(m)
 
 
 def test_sign_structure_on_convex_caps(grid_2d):

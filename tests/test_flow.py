@@ -82,6 +82,17 @@ def test_negative_curvature_initial_data_rejected(grid_1d):
         run(m, FlowSchedule(t_end=0.01), w_horizon=0.5)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_curvature_initial_data_rejected(grid_1d):
+    # exp(800) overflows inside the block, where R = -inf * 0 is NaN
+    u = np.zeros((grid_1d.n_r, 1))
+    u[2:6] = -800.0
+    m = enforce_curvature_neumann(make_metric(u, grid_1d))
+    assert np.isnan(scalar_curvature(m).min())
+    with pytest.raises(PositivityError):
+        run(m, FlowSchedule(t_end=0.01), w_horizon=0.5)
+
+
 def test_step_limit_termination(grid_1d):
     m0 = spherical_cap(CapParams(0.5), grid_1d)
     traj = run(m0, FlowSchedule(t_end=0.1, max_steps=3), w_horizon=0.5)
