@@ -19,9 +19,10 @@ def kahan_sum(values):
     """Exactly rounded sum of a 1-d float64 array (``math.fsum``).
 
     Exact rounding is at least as strong as compensated summation and does
-    not depend on the order of the terms.
+    not depend on the order of the terms.  ``fsum`` iterates a Python list
+    faster than an array of numpy scalars, and the rounding is the same.
     """
-    return math.fsum(np.ascontiguousarray(values, dtype=np.float64))
+    return math.fsum(np.ascontiguousarray(values, dtype=np.float64).tolist())
 
 
 def flux_laplacian(phi, ghost, r, dr, dtheta):

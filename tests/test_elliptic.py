@@ -1,11 +1,54 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riccidisk.elliptic import potential_f, solve_poisson_neumann
-from riccidisk.errors import CompatibilityError
-from riccidisk.geometry import laplace_beltrami, normal_derivative, volume
+from riccidisk import elliptic
+from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
+from riccidisk.errors import CompatibilityError, DomainError
+from riccidisk.geometry import laplace_beltrami, normal_derivative, scalar_curvature, volume
 from riccidisk.grid import GridSpec, build_grid, integrate_volume
-from riccidisk.initial_data import CapParams, spherical_cap
+from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
+
+
+def _reference_matrix(grid):
+    """Loop-built volume-weighted flat Laplacian, one flux at a time."""
+    n_r, n_t = grid.n_r, grid.n_theta
+    dr, dth = grid.dr, grid.dtheta
+    idx = lambda i, j: i * n_t + j
+
+    rows, cols, vals = [], [], []
+
+    def add(a, b, v):
+        rows.append(a)
+        cols.append(b)
+        vals.append(v)
+
+    # radial fluxes through interior faces r_{i+1/2}; the r=0 face has zero
+    # area and the r=1 face has zero flux (Neumann)
+    for i in range(n_r - 1):
+        coef = (grid.r[i] + 0.5 * dr) * dth / dr
+        for j in range(n_t):
+            a, b = idx(i, j), idx(i + 1, j)
+            add(a, a, -coef)
+            add(a, b, coef)
+            add(b, b, -coef)
+            add(b, a, coef)
+
+    # angular fluxes, periodic
+    if n_t > 1:
+        for i in range(n_r):
+            coef = dr / (grid.r[i] * dth)
+            for j in range(n_t):
+                a, b = idx(i, j), idx(i, (j + 1) % n_t)
+                add(a, a, -coef)
+                add(a, b, coef)
+                add(b, b, -coef)
+                add(b, a, coef)
+
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_r * n_t, n_r * n_t)).tocsr()
 
 
 def _mms_field(grid):
@@ -82,3 +125,74 @@ def test_zero_data_short_circuits(hemisphere_1d):
     rho = np.zeros((hemisphere_1d.grid.n_r, 1))
     sol = solve_poisson_neumann(rho, hemisphere_1d)
     assert np.all(sol.f == 0.0)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(8, 1), (128, 1), (16, 8), (64, 32)])
+def test_matrix_matches_loop_reference(n_r, n_theta):
+    g = build_grid(GridSpec(n_r, n_theta))
+    A = neumann_laplacian_matrix(g).copy()
+    ref = _reference_matrix(g)
+    for M in (A, ref):
+        M.sum_duplicates()
+        M.sort_indices()
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    # sums of flux coefficients may round in a different order
+    np.testing.assert_allclose(A.data, ref.data, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(128, 1), (64, 32), (128, 64)])
+def test_preconditioned_solve_matches_plain_cg(n_r, n_theta, monkeypatch):
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 0 if n_theta == 1 else 3), g)
+    R = scalar_curvature(m)
+    rho = integrate_volume(R, m) / volume(m) - R
+
+    iterations = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        kwargs["callback"] = lambda xk: iterations.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic.spla, "cg", counting_cg)
+    sol = solve_poisson_neumann(rho, m)
+    monkeypatch.undo()
+    assert len(iterations) == 1
+    assert sol.linear_residual <= 1e-12
+
+    # the unpreconditioned solve, to a tighter tolerance, is the oracle
+    A = neumann_laplacian_matrix(g)
+    b = (np.exp(m.u) * rho * g.w_vol).ravel()
+    b = b - b.sum() / b.size
+    x, info = spla.cg(-A, -b, rtol=1e-13, atol=0.0, maxiter=10 * b.size)
+    assert info == 0
+    f_ref = x.reshape(m.u.shape)
+    f_ref = f_ref - integrate_volume(f_ref, m) / volume(m)
+    assert np.max(np.abs(sol.f - f_ref)) <= 1e-10 * np.max(np.abs(f_ref))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_raises(bad):
+    g = build_grid(GridSpec(32, 8))
+    m = spherical_cap(CapParams(0.5), g)
+    rho = _mean_adjust(np.cos(g.theta)[None, :] * g.r[:, None], m)
+    rho[3, 2] = bad
+    with pytest.raises(DomainError):
+        solve_poisson_neumann(rho, m)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    n_r=st.integers(8, 48),
+    n_theta=st.sampled_from([1, 8, 16, 24]),
+    c=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_compatible_data_is_solved(n_r, n_theta, c, seed):
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = spherical_cap(CapParams(c), g)
+    rho = _mean_adjust(np.random.default_rng(seed).standard_normal(m.u.shape), m)
+    sol = solve_poisson_neumann(rho, m)
+    assert abs(integrate_volume(sol.f, m)) / volume(m) <= 1e-12 * max(1.0, np.max(np.abs(sol.f)))
+    assert sol.linear_residual <= 1e-11

@@ -21,6 +21,16 @@ def test_kahan_matches_fsum():
     assert K.kahan_sum(values) == pytest.approx(math.fsum(values), rel=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["cancelling", "heavy_tailed"])
+def test_kahan_is_exactly_fsum(kind):
+    if kind == "cancelling":
+        values = np.array([1e100, 1.0, -1e100])
+    else:
+        rng = np.random.default_rng(3)
+        values = rng.standard_cauchy(8192) * 10.0 ** rng.integers(-150, 150, 8192)
+    assert K.kahan_sum(values) == math.fsum(values)
+
+
 def test_kahan_is_deterministic():
     rng = np.random.default_rng(2)
     values = rng.standard_normal(5000)
