@@ -25,7 +25,6 @@ from .geometry import (
     geodesic_curvature,
     make_metric,
     scalar_curvature,
-    volume,
 )
 from .elliptic import NeumannSolution, potential_f, solve_poisson_neumann
 from .flow import (
@@ -47,7 +46,6 @@ from .initial_data import (
 from .entropy import (
     EntropyRecord,
     WParams,
-    average_R,
     dE_dt_analytic,
     dE_dt_rhs,
     dW_dt_rhs,
@@ -67,13 +65,13 @@ __all__ = [
     "SolverError", "UsageError",
     "GridSpec", "PolarGrid", "TensorField", "build_grid",
     "ConformalMetric", "gauss_bonnet_residual", "geodesic_curvature",
-    "make_metric", "scalar_curvature", "volume",
+    "make_metric", "scalar_curvature",
     "NeumannSolution", "potential_f", "solve_poisson_neumann",
     "FlowSchedule", "FlowState", "FlowTrajectory", "Termination",
     "enforce_curvature_neumann", "run",
     "CapParams", "PerturbationParams", "compatibility_residual",
     "perturbed_cap", "project_compatibility", "spherical_cap",
-    "EntropyRecord", "WParams", "average_R", "dE_dt_analytic", "dE_dt_rhs",
+    "EntropyRecord", "WParams", "dE_dt_analytic", "dE_dt_rhs",
     "dW_dt_rhs", "entropy_euler_form", "hamilton_entropy",
     "relation_residual", "soliton_residual_L2", "w_functional",
     "ConvergenceReport", "IdentityReport", "convergence_study",

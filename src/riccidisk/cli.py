@@ -13,6 +13,7 @@ failure.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -87,6 +88,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigurationError(f"{path}:{lineno}: {key} needs a number, got {val!r}")
+            if not math.isfinite(values[key]):
+                raise ConfigurationError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
         else:
             values[key] = val
 

@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import kahan_sum
 from .errors import CompatibilityError, DomainError, SolverError
-from .geometry import ConformalMetric, scalar_curvature, volume
+from .geometry import ConformalMetric
 from .grid import GridSpec, PolarGrid, build_grid, integrate_volume
 
 COMPAT_TOL = 1.0e-8
@@ -122,7 +122,7 @@ def solve_poisson_neumann(rho, m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSo
     """Solve lap_g f = rho, f_nu = 0, returning the mean-zero solution."""
     grid = m.grid
     n = grid.n_r * grid.n_theta
-    v_m = volume(m)
+    v_m = m.v_M
 
     if not np.all(np.isfinite(rho)):
         raise DomainError("Poisson data rho is not finite")
@@ -165,9 +165,7 @@ def potential_f(m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSolution:
     """Potential of the monotonicity formula: lap_g f = Rbar - R, f_nu = 0.
 
     The data integrates to zero analytically by the definition of Rbar, so
-    the reported compatibility residual is pure quadrature error.
+    the reported compatibility residual is pure quadrature error.  R, Rbar
+    and v(M) are read from the metric, which evaluates them once.
     """
-    R = scalar_curvature(m)
-    v_m = volume(m)
-    r_bar = integrate_volume(R, m) / v_m
-    return solve_poisson_neumann(r_bar - R, m, tol=tol)
+    return solve_poisson_neumann(m.R_bar - m.R, m, tol=tol)

@@ -9,6 +9,13 @@ Implements, for the evolving disk metric:
 
 together with the analytic expressions for dE/dt and dW/dt whose agreement
 with finite differences in time is what the verification suite checks.
+
+Every functional takes a :class:`~riccidisk.geometry.ConformalMetric` and
+reads R, log R, v(M), int R dv, Rbar, kappa and int kappa ds from it; the
+metric evaluates each once, so a record built by :func:`make_record` costs
+one curvature evaluation however many functionals it holds.  ``m.log_R``
+is the single positivity check: a metric with min R <= 0 (or NaN) raises
+``DomainError`` from every functional that takes log R.
 """
 
 from dataclasses import dataclass
@@ -21,13 +28,12 @@ from .errors import DomainError
 from .geometry import (
     ConformalMetric,
     EULER_CHARACTERISTIC,
+    gauss_bonnet_residual,
     geodesic_curvature,
     grad_diff_norm_sq,
     metric_grad_norm_sq,
-    scalar_curvature,
     shifted_hessian,
     tensor_norm_sq,
-    volume,
 )
 from .grid import (
     boundary_tangential_derivative,
@@ -63,71 +69,29 @@ class EntropyRecord:
     kappa_max: float
 
 
-def average_R(m: ConformalMetric) -> float:
-    R = scalar_curvature(m)
-    return integrate_volume(R, m) / volume(m)
-
-
-@dataclass(frozen=True)
-class _Snapshot:
-    """Curvature quantities of one metric, evaluated once and shared.
-
-    Every functional below accepts a metric or a snapshot of it, so
-    :func:`make_record` evaluates R, kappa and their integrals once per
-    record instead of once per functional.
-    """
-
-    metric: ConformalMetric
-    R: np.ndarray
-    log_R: np.ndarray
-    v_M: float
-    int_R: float
-    R_bar: float
-    kappa: np.ndarray
-    int_kappa: float
-
-
-def _snapshot(m) -> _Snapshot:
-    if isinstance(m, _Snapshot):
-        return m
-    R = scalar_curvature(m)
-    r_min = float(R.min())
-    # written so that a NaN curvature fails too
-    if not r_min > 0.0:
-        raise DomainError(f"min R = {r_min:.3e} is not positive: log R undefined")
-    v_m = volume(m)
-    int_r = integrate_volume(R, m)
-    kappa = geodesic_curvature(m)
-    return _Snapshot(
-        m, R, np.log(R), v_m, int_r, int_r / v_m, kappa, integrate_boundary(kappa, m)
-    )
-
-
 def _tau(wp: WParams, t: float) -> float:
     tau = wp.w_horizon - t
-    if tau <= 0.0:
-        raise DomainError(f"tau = {tau:.3e} <= 0")
+    if not tau > 0.0:  # NaN fails too
+        raise DomainError(f"tau = {tau:.3e} is not positive")
     return tau
 
 
 def hamilton_entropy(m: ConformalMetric) -> float:
     """E = int R log(R / Rbar) dv; nonnegative by the discrete Jensen gap."""
-    s = _snapshot(m)
-    return integrate_volume(s.R * s.log_R, s.metric) - log(s.R_bar) * s.int_R
+    return integrate_volume(m.R * m.log_R, m) - log(m.R_bar) * m.int_R
 
 
 def w_functional(m: ConformalMetric, wp: WParams, t: float) -> float:
     tau = _tau(wp, t)
-    s = _snapshot(m)
-    grad_log_r_sq = metric_grad_norm_sq(s.log_R, s.metric)
-    integrand = (tau * (s.R - grad_log_r_sq) - s.log_R - log(tau)) * s.R
-    return integrate_volume(integrand, s.metric) - 2.0 * log(tau) * s.int_kappa
+    grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
+    integrand = (tau * (m.R - grad_log_r_sq) - m.log_R - log(tau)) * m.R
+    return integrate_volume(integrand, m) - 2.0 * log(tau) * m.int_kappa
 
 
-def _soliton_norm_sq(s: _Snapshot, f) -> float:
+def _soliton_norm_sq(m: ConformalMetric, f) -> float:
     """int |R g/2 + Hess f - Rbar g/2|^2 dv, with the zero-flux closure of f."""
-    T = shifted_hessian(f, s.metric, 0.5 * (s.R - s.R_bar), ghost="mirror")
-    return integrate_volume(tensor_norm_sq(T, s.metric), s.metric)
+    T = shifted_hessian(f, m, 0.5 * (m.R - m.R_bar), ghost="mirror")
+    return integrate_volume(tensor_norm_sq(T, m), m)
 
 
 def _boundary_grad_norm_sq(field, m):
@@ -147,11 +111,9 @@ def dE_dt_rhs(m: ConformalMetric, f) -> float:
     ``f`` is the Neumann potential from the elliptic module; its zero-flux
     ghost closure matches the boundary condition it was solved under.
     """
-    s = _snapshot(m)
-    m = s.metric
-    term1 = integrate_volume(s.R * grad_diff_norm_sq(f, s.log_R, m, ghost_a="mirror"), m)
-    term2 = 2.0 * _soliton_norm_sq(s, f)
-    term3 = 2.0 * integrate_boundary(s.kappa * _boundary_grad_norm_sq(f, m), m)
+    term1 = integrate_volume(m.R * grad_diff_norm_sq(f, m.log_R, m, ghost_a="mirror"), m)
+    term2 = 2.0 * _soliton_norm_sq(m, f)
+    term3 = 2.0 * integrate_boundary(m.kappa * _boundary_grad_norm_sq(f, m), m)
     return -(term1 + term2) - term3
 
 
@@ -162,27 +124,24 @@ def dW_dt_rhs(m: ConformalMetric, wp: WParams, t: float) -> float:
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
     tau = _tau(wp, t)
-    s = _snapshot(m)
-    m = s.metric
-    T = shifted_hessian(s.log_R, m, 0.5 * s.R - 0.5 / tau)
-    interior = 2.0 * tau * integrate_volume(s.R * tensor_norm_sq(T, m), m)
-    R_b = boundary_value(s.R)
+    T = shifted_hessian(m.log_R, m, 0.5 * m.R - 0.5 / tau)
+    interior = 2.0 * tau * integrate_volume(m.R * tensor_norm_sq(T, m), m)
+    R_b = boundary_value(m.R)
     bnd = 2.0 * tau * integrate_boundary(
-        s.kappa * (R_b * _boundary_grad_norm_sq(s.log_R, m) + 1.0 / tau**2), m
+        m.kappa * (R_b * _boundary_grad_norm_sq(m.log_R, m) + 1.0 / tau**2), m
     )
     return interior + bnd
 
 
 def dE_dt_analytic(m: ConformalMetric) -> float:
     """dE/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv - v Rbar^2."""
-    s = _snapshot(m)
-    grad_log_r_sq = metric_grad_norm_sq(s.log_R, s.metric)
-    return integrate_volume((s.R - grad_log_r_sq) * s.R, s.metric) - s.v_M * s.R_bar**2
+    grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
+    return integrate_volume((m.R - grad_log_r_sq) * m.R, m) - m.v_M * m.R_bar**2
 
 
 def soliton_residual_L2(m: ConformalMetric, f) -> float:
     """L2(dv) norm of R g/2 + Hess f - Rbar g/2 (vanishes on shrinking solitons)."""
-    return sqrt(max(_soliton_norm_sq(_snapshot(m), f), 0.0))
+    return sqrt(max(_soliton_norm_sq(m, f), 0.0))
 
 
 def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -> float:
@@ -195,15 +154,14 @@ def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -
     the algebraic identity from time-discretization error.
     """
     tau = _tau(wp, t)
-    s = _snapshot(m)
     rhs_val = (
         tau * dE_dt
-        - hamilton_entropy(s)
+        - hamilton_entropy(m)
         - 4.0 * pi * EULER_CHARACTERISTIC * log(tau)
-        + tau * s.v_M * s.R_bar**2
-        - log(s.R_bar) * s.int_R
+        + tau * m.v_M * m.R_bar**2
+        - log(m.R_bar) * m.int_R
     )
-    return abs(w_functional(s, wp, t) - rhs_val)
+    return abs(w_functional(m, wp, t) - rhs_val)
 
 
 def entropy_euler_form(traj) -> list:
@@ -248,25 +206,23 @@ def entropy_euler_form(traj) -> list:
 def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord:
     """Assemble the per-snapshot diagnostics used by the flow and CLI."""
     wp = WParams(w_horizon)
-    s = _snapshot(m)
-    n_partial = integrate_volume(s.R * s.log_R, m)
-    r_partial = log(s.R_bar) * s.int_R
+    n_partial = integrate_volume(m.R * m.log_R, m)
+    r_partial = log(m.R_bar) * m.int_R
     sol = potential_f(m)
     return EntropyRecord(
         t=t,
         tau=w_horizon - t,
-        v_M=s.v_M,
-        R_bar=s.R_bar,
+        v_M=m.v_M,
+        R_bar=m.R_bar,
         E_partial=n_partial - r_partial,
         N_partial=n_partial,
         R_partial=r_partial,
-        W_partial=w_functional(s, wp, t),
-        min_R=float(s.R.min()),
-        # geometry.gauss_bonnet_residual, from the integrals already at hand
-        gauss_bonnet_res=abs(s.int_R + 2.0 * s.int_kappa - 4.0 * pi * EULER_CHARACTERISTIC),
-        dE_dt_rhs=dE_dt_rhs(s, sol.f),
-        dW_dt_rhs=dW_dt_rhs(s, wp, t),
-        soliton_residual_L2=soliton_residual_L2(s, sol.f),
-        kappa_min=float(s.kappa.min()),
-        kappa_max=float(s.kappa.max()),
+        W_partial=w_functional(m, wp, t),
+        min_R=float(m.R.min()),
+        gauss_bonnet_res=gauss_bonnet_residual(m),
+        dE_dt_rhs=dE_dt_rhs(m, sol.f),
+        dW_dt_rhs=dW_dt_rhs(m, wp, t),
+        soliton_residual_L2=soliton_residual_L2(m, sol.f),
+        kappa_min=float(m.kappa.min()),
+        kappa_max=float(m.kappa.max()),
     )

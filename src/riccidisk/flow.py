@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels, entropy
 from .errors import BoundaryClosureError, PositivityError, UsageError
-from .geometry import ConformalMetric, scalar_curvature
+from .geometry import ConformalMetric
 
 
 class Termination(Enum):
@@ -37,7 +37,7 @@ class FlowSchedule:
     max_steps: int = 10_000_000
 
     def validate(self):
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:  # NaN fails too
             raise UsageError(f"t_end must be positive, got {self.t_end}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise UsageError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
@@ -70,7 +70,7 @@ def enforce_curvature_neumann(m: ConformalMetric) -> ConformalMetric:
 
 def rhs(m: ConformalMetric):
     """Conformal Ricci flow right-hand side, d_t u = -R."""
-    return -scalar_curvature(m)
+    return -m.R
 
 
 def cfl_dt(m: ConformalMetric, safety: float) -> float:
@@ -85,10 +85,18 @@ def _stage_metric(u, template: ConformalMetric) -> ConformalMetric:
 
 
 def step(s: FlowState, dt: float) -> FlowState:
-    """One RK4 step with the boundary closure re-enforced at every stage."""
+    """One RK4 step with the boundary closure re-enforced at every stage.
+
+    Precondition: ``s.metric`` carries the curvature-Neumann ghost, as every
+    state that :func:`run`, :func:`step` and the initial-data module build
+    does.  Stage k1 is then ``-s.metric.R``, so the curvature that accepted
+    the previous step (and that its record read) is reused, not recomputed.
+    The new metric's R is evaluated once for the positivity test and kept
+    for the next step and the record.
+    """
     if dt == 0.0:
         return s
-    m0 = enforce_curvature_neumann(s.metric)
+    m0 = s.metric
     u0 = m0.u
     k1 = rhs(m0)
     k2 = rhs(_stage_metric(u0 + 0.5 * dt * k1, m0))
@@ -96,7 +104,7 @@ def step(s: FlowState, dt: float) -> FlowState:
     k4 = rhs(_stage_metric(u0 + dt * k3, m0))
     u_new = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     m_new = _stage_metric(u_new, m0)
-    r_min = float(scalar_curvature(m_new).min())
+    r_min = float(m_new.R.min())
     if not r_min > 0.0:  # NaN fails too
         raise PositivityError(
             f"min R = {r_min:.3e} is not positive after step to t = {s.t + dt:.6g}",
@@ -110,15 +118,17 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
 
     Records are taken at t = 0, every ``record_every`` accepted steps, and
     at the final accepted state; snapshots are stored alongside each record.
+    A snapshot shares u and the ghost ring with the state it was taken
+    from but none of its cached curvature, so it costs u plus its ghost.
     """
     sched.validate()
-    if w_horizon <= sched.t_end:
+    if not w_horizon > sched.t_end:  # NaN fails too
         raise UsageError(
             f"w_horizon ({w_horizon}) must exceed t_end ({sched.t_end})"
         )
 
     state = FlowState(0.0, enforce_curvature_neumann(initial))
-    r0_min = float(scalar_curvature(state.metric).min())
+    r0_min = float(state.metric.R.min())
     if not r0_min > 0.0:  # NaN fails too
         raise PositivityError(
             f"initial metric has min R = {r0_min:.3e}, not positive", min_r=r0_min
@@ -127,7 +137,8 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     traj = FlowTrajectory()
 
     def record(st):
-        traj.snapshots.append(FlowState(st.t, st.metric.copy()))
+        m = st.metric
+        traj.snapshots.append(FlowState(st.t, ConformalMetric(m.u, m.grid, m.u_ghost)))
         traj.records.append(entropy.make_record(st.metric, st.t, w_horizon))
 
     record(state)

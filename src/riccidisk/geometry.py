@@ -10,10 +10,12 @@ The Euler characteristic of the only supported domain (the disk) is 1.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels, grid as _grid
+from .errors import DomainError, UsageError
 from .grid import (
     PolarGrid,
     TensorField,
@@ -31,13 +33,18 @@ from .grid import (
 EULER_CHARACTERISTIC = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConformalMetric:
-    """Metric g = exp(u) g0 with an explicit ghost ring for u at r = 1 + dr/2.
+    """Immutable metric g = exp(u) g0 with a ghost ring for u at r = 1 + dr/2.
 
     The ghost ring is the metric's closure policy: metrics emitted by the
     initial-data and flow modules carry the curvature-Neumann ghost, while
     ad-hoc metrics default to smooth extrapolation of u.
+
+    The curvature quantities every diagnostic reads (R, log R, v(M),
+    int R dv, Rbar, kappa, int kappa ds) are evaluated on first use and
+    kept on the metric.  The arrays u and u_ghost must not be modified in
+    place once the metric exists.
     """
 
     u: np.ndarray
@@ -46,15 +53,45 @@ class ConformalMetric:
 
     def __post_init__(self):
         if self.u.shape != (self.grid.n_r, self.grid.n_theta):
-            raise ValueError(
+            raise UsageError(
                 f"u shape {self.u.shape} does not match grid "
                 f"({self.grid.n_r}, {self.grid.n_theta})"
             )
         if not np.all(np.isfinite(self.u)):
-            raise ValueError("u must be finite everywhere")
+            raise DomainError("u must be finite everywhere")
 
-    def copy(self):
-        return ConformalMetric(self.u.copy(), self.grid, self.u_ghost.copy())
+    @cached_property
+    def R(self) -> np.ndarray:
+        return scalar_curvature(self)
+
+    @cached_property
+    def log_R(self) -> np.ndarray:
+        """log R; the one positivity check of every R log R functional."""
+        r_min = float(self.R.min())
+        # written so that a NaN curvature fails too
+        if not r_min > 0.0:
+            raise DomainError(f"min R = {r_min:.3e} is not positive: log R undefined")
+        return np.log(self.R)
+
+    @cached_property
+    def v_M(self) -> float:
+        return integrate_volume(np.ones_like(self.u), self)
+
+    @cached_property
+    def int_R(self) -> float:
+        return integrate_volume(self.R, self)
+
+    @cached_property
+    def R_bar(self) -> float:
+        return self.int_R / self.v_M
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        return geodesic_curvature(self)
+
+    @cached_property
+    def int_kappa(self) -> float:
+        return integrate_boundary(self.kappa, self)
 
 
 def make_metric(u, grid, ghost="extrapolate") -> ConformalMetric:
@@ -62,10 +99,6 @@ def make_metric(u, grid, ghost="extrapolate") -> ConformalMetric:
     u = np.asarray(u, dtype=np.float64)
     g = _grid._resolve_ghost(u, ghost)
     return ConformalMetric(u, grid, np.asarray(g, dtype=np.float64))
-
-
-def volume(m: ConformalMetric) -> float:
-    return integrate_volume(np.ones_like(m.u), m)
 
 
 def scalar_curvature(m: ConformalMetric):
@@ -192,7 +225,5 @@ def boundary_laplacian(b, m: ConformalMetric):
 
 def gauss_bonnet_residual(m: ConformalMetric) -> float:
     """|int R dv + 2 int kappa ds - 4 pi| for the disk (chi = 1)."""
-    R = scalar_curvature(m)
-    kappa = geodesic_curvature(m)
-    total = integrate_volume(R, m) + 2.0 * integrate_boundary(kappa, m)
+    total = m.int_R + 2.0 * m.int_kappa
     return abs(total - 4.0 * np.pi * EULER_CHARACTERISTIC)

@@ -37,7 +37,7 @@ class CapParams:
     c: float
 
     def validate(self):
-        if self.c <= 0.0:
+        if not self.c > 0.0:  # NaN fails too
             raise UsageError(f"cap parameter c must be positive, got {self.c}")
 
     @property
@@ -97,7 +97,7 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
         return m
 
     m = build(p.epsilon)
-    if float(scalar_curvature(m).min()) > 0.0:
+    if float(m.R.min()) > 0.0:
         return m
 
     # bisect for the largest admissible amplitude to report in the error
@@ -105,7 +105,7 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         trial = build(mid if p.epsilon >= 0 else -mid)
-        if float(scalar_curvature(trial).min()) > 0.0:
+        if float(trial.R.min()) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -164,7 +164,12 @@ def project_compatibility(m: ConformalMetric):
     floor = 20.0 * np.finfo(np.float64).eps / grid.dr**3
     tol = PROJECTION_TOL * scale + floor
     for _ in range(PROJECTION_MAX_ITER):
-        if float(np.max(np.abs(res))) <= tol:
+        res_max = float(np.max(np.abs(res)))
+        if not np.isfinite(res_max):
+            raise CompatibilityError(
+                "compatibility residual is not finite", residual=res_max
+            )
+        if res_max <= tol:
             break
         # dense Jacobian w.r.t. psi; coupling is short-range in theta
         n_t = grid.n_theta
@@ -175,7 +180,16 @@ def project_compatibility(m: ConformalMetric):
             bump = np.zeros(n_t)
             bump[j] = h
             jac[:, j] = (_smooth_residual(base_u + bump[None, :] * profile, grid) - res) / h
-        psi = psi - np.linalg.solve(jac, res)
+        if not np.all(np.isfinite(jac)):
+            raise CompatibilityError(
+                "compatibility Jacobian is not finite", residual=res_max
+            )
+        try:
+            psi = psi - np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError:
+            raise CompatibilityError(
+                "compatibility Jacobian is singular", residual=res_max
+            ) from None
         res = _smooth_residual(m.u + psi[None, :] * profile, grid)
     else:
         raise CompatibilityError(
@@ -192,5 +206,4 @@ def project_compatibility(m: ConformalMetric):
 
 def compatibility_residual(m: ConformalMetric) -> float:
     """max over boundary nodes of |d_r R| at r = 1 (one-sided stencil)."""
-    R = scalar_curvature(m)
-    return float(np.max(np.abs(radial_derivative_at_boundary(R, m.grid))))
+    return float(np.max(np.abs(radial_derivative_at_boundary(m.R, m.grid))))

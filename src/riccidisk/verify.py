@@ -25,7 +25,6 @@ from .geometry import (
     ConformalMetric,
     boundary_gradient_inner,
     boundary_laplacian,
-    geodesic_curvature,
     hessian,
     laplace_beltrami,
     make_metric,
@@ -174,13 +173,13 @@ def check_reilly(m: ConformalMetric, f) -> IdentityReport:
     rhs = int (2 f_nu lap_dM(f|dM) + kappa f_nu^2 + kappa |grad_dM f|^2) ds
     """
     lap_f = laplace_beltrami(f, m)
-    R = scalar_curvature(m)
+    R = m.R
     grad_sq = metric_grad_norm_sq(f, m)
     hess_sq = tensor_norm_sq(hessian(f, m), m)
     lhs = integrate_volume(lap_f**2 - 0.5 * R * grad_sq - hess_sq, m)
     f_b = boundary_value(f)
     f_nu = normal_derivative(f, m)
-    kappa = geodesic_curvature(m)
+    kappa = m.kappa
     lap_b = boundary_laplacian(f_b, m)
     grad_b = boundary_gradient_inner(f_b, f_b, m)
     rhs = integrate_boundary(2.0 * f_nu * lap_b + kappa * f_nu**2 + kappa * grad_b, m)
@@ -222,7 +221,7 @@ def check_lemma_useful(m: ConformalMetric, f) -> IdentityReport:
     f_b = boundary_value(f)
     f_nu = normal_derivative(f, m)
     lap_b = _extract_cubic(laplace_beltrami(f, m), m.grid, deriv=0)
-    kappa = geodesic_curvature(m)
+    kappa = m.kappa
     lap_dm = boundary_laplacian(f_b, m)
     cross = boundary_gradient_inner(f_b, f_nu, m)
     grad_b = boundary_gradient_inner(f_b, f_b, m)
@@ -250,8 +249,7 @@ def check_lemma_time2(m: ConformalMetric) -> IdentityReport:
     On an incompatible metric they differ by the boundary flux of R, which
     is what the negative control exploits.
     """
-    R = scalar_curvature(m)
-    log_r = np.log(R)
+    R, log_r = m.R, m.log_R
     lhs = integrate_volume(laplace_beltrami(R, m) * log_r + R * R, m)
     rhs = integrate_volume((R - metric_grad_norm_sq(log_r, m)) * R, m)
     return _report("lemma_time2", lhs, rhs, m.grid, 0.0)
@@ -301,8 +299,8 @@ def check_kappa_evolution(traj) -> IdentityReport:
     R_b = np.array(
         [boundary_value(scalar_curvature(s.metric)) for s in traj.snapshots]
     )
-    kappa0 = geodesic_curvature(traj.snapshots[0].metric)
-    kappa_end = geodesic_curvature(traj.snapshots[-1].metric)
+    kappa0 = traj.snapshots[0].metric.kappa
+    kappa_end = traj.snapshots[-1].metric.kappa
     exponent = 0.5 * np.trapezoid(R_b, x=ts, axis=0)
     predicted = kappa0 * np.exp(exponent)
     j = int(np.argmax(np.abs(kappa_end - predicted)))
@@ -323,12 +321,12 @@ def check_normal_lemmas(traj) -> IdentityReport:
     snaps = traj.snapshots
     nu = [np.exp(-0.5 * boundary_value(s.metric.u)) for s in (snaps[k - 1], snaps[k], snaps[k + 1])]
     lhs_field = _fd1(nu[0], nu[1], nu[2], h1, h2)
-    R_b = boundary_value(scalar_curvature(snaps[k].metric))
+    R_b = boundary_value(snaps[k].metric.R)
     rhs_field = 0.5 * R_b * nu[1]
     j = int(np.argmax(np.abs(lhs_field - rhs_field)))
 
     m_end = snaps[-1].metric
-    lap_R = laplace_beltrami(scalar_curvature(m_end), m_end)
+    lap_R = laplace_beltrami(m_end.R, m_end)
     # interior stencil: the ghost-closure error on the outermost ring would
     # otherwise dominate the one-sided derivative
     flux = float(np.max(np.abs(radial_derivative_at_boundary_interior(lap_R, m_end.grid))))
@@ -356,10 +354,8 @@ def check_second_derivative_N(traj) -> IdentityReport:
     lhs = _fd2(rs[k - 1].N_partial, rs[k].N_partial, rs[k + 1].N_partial, h1, h2)
 
     m = traj.snapshots[k].metric
-    R = scalar_curvature(m)
-    log_r = np.log(R)
+    R, log_r, kappa = m.R, m.log_R, m.kappa
     T = shifted_hessian(log_r, m, 0.5 * R)
-    kappa = geodesic_curvature(m)
     R_b = boundary_value(R)
     db = boundary_value(log_r)
     rhs = 2.0 * integrate_volume(R * tensor_norm_sq(T, m), m) + 2.0 * integrate_boundary(

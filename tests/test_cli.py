@@ -7,6 +7,7 @@ from riccidisk.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     CSV_COLUMNS,
+    _FLOAT_KEYS,
     cmd_convergence,
     cmd_run,
     cmd_verify,
@@ -94,6 +95,28 @@ def test_cmd_run_excessive_amplitude(tmp_path):
         tmp_path / "c.cfg", **{"initial.cap_c": 0.3, "initial.eps": 30.0}
     )
     assert cmd_run(str(cfg)) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("eps", [1e6, 1e308])
+def test_cmd_run_overflowing_amplitude(tmp_path, capsys, eps):
+    cfg = _write_config(
+        tmp_path / "c.cfg",
+        **{"grid.n_r": 32, "grid.n_theta": 16, "initial.cap_c": 0.5,
+           "initial.eps": eps, "initial.mode": 2},
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cmd_run_rejects_non_finite_numbers(tmp_path, capsys, key, bad):
+    cfg = _write_config(tmp_path / "c.cfg", **{key: bad})
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err and "Traceback" not in err
 
 
 def test_cmd_verify_full_suite(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from math import log, pi
 
+from riccidisk import _kernels
 from riccidisk.elliptic import potential_f
 from riccidisk.entropy import (
     WParams,
-    average_R,
     dE_dt_analytic,
     dE_dt_rhs,
     dW_dt_rhs,
@@ -18,14 +18,14 @@ from riccidisk.entropy import (
 )
 from riccidisk.errors import DomainError
 from riccidisk.flow import FlowSchedule, run
-from riccidisk.geometry import gauss_bonnet_residual, make_metric
+from riccidisk.geometry import ConformalMetric, gauss_bonnet_residual, make_metric
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 
 def test_hemisphere_entropy_vanishes(hemisphere_1d):
     assert abs(hamilton_entropy(hemisphere_1d)) < 1e-8
-    assert average_R(hemisphere_1d) == pytest.approx(2.0, rel=1e-4)
+    assert hemisphere_1d.R_bar == pytest.approx(2.0, rel=1e-4)
 
 
 def test_hemisphere_w_is_4pi(hemisphere_1d):
@@ -96,6 +96,26 @@ def test_record_matches_standalone_functions(request, grid_name, mode):
     assert rec.soliton_residual_L2 == soliton_residual_L2(m, f)
     assert rec.gauss_bonnet_res == gauss_bonnet_residual(m)
     assert rec.E_partial == hamilton_entropy(m)
+
+
+def test_record_evaluates_curvature_once(grid_2d, monkeypatch):
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
+    fresh = ConformalMetric(m.u, m.grid, m.u_ghost)
+    calls = []
+    curvature = _kernels.curvature
+
+    def counting_curvature(*args):
+        calls.append(1)
+        return curvature(*args)
+
+    monkeypatch.setattr(_kernels, "curvature", counting_curvature)
+    make_record(fresh, 0.0, 1.0)
+    assert len(calls) == 1
+
+
+def test_w_rejects_nan_horizon(hemisphere_1d):
+    with pytest.raises(DomainError):
+        w_functional(hemisphere_1d, WParams(float("nan")), 0.0)
 
 
 def test_sign_structure_on_convex_caps(grid_2d):

@@ -65,6 +65,21 @@ def test_horizon_must_exceed_t_end(hemisphere_1d):
         run(hemisphere_1d, FlowSchedule(t_end=0.3), w_horizon=0.2)
 
 
+def test_snapshots_keep_no_cached_curvature(grid_2d):
+    m0 = spherical_cap(CapParams(0.5), grid_2d)
+    traj = run(m0, FlowSchedule(t_end=5.0e-6), w_horizon=0.5)
+    assert len(traj.snapshots) >= 3
+    for s in traj.snapshots:
+        assert not {"R", "log_R", "kappa"} & set(vars(s.metric))
+
+
+def test_nan_bounds_are_rejected(hemisphere_1d):
+    with pytest.raises(UsageError):
+        FlowSchedule(t_end=float("nan")).validate()
+    with pytest.raises(UsageError):
+        run(hemisphere_1d, FlowSchedule(t_end=0.01), w_horizon=float("nan"))
+
+
 def test_schedule_validation():
     with pytest.raises(UsageError):
         FlowSchedule(t_end=-1.0).validate()

@@ -1,6 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riccidisk.errors import DomainError, UsageError
 from riccidisk.geometry import (
     boundary_laplacian,
     gauss_bonnet_residual,
@@ -13,21 +18,20 @@ from riccidisk.geometry import (
     normal_derivative,
     scalar_curvature,
     tensor_norm_sq,
-    volume,
 )
-from riccidisk.grid import GridSpec, build_grid
+from riccidisk.grid import GridSpec, build_grid, ghost_extrapolate, integrate_volume
 from riccidisk.initial_data import CapParams, spherical_cap
 
 
 def test_make_metric_rejects_wrong_shape(grid_1d):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         make_metric(np.zeros((4, 4)), grid_1d)
 
 
 def test_make_metric_rejects_non_finite(grid_1d):
     u = np.zeros((grid_1d.n_r, 1))
     u[3] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         make_metric(u, grid_1d)
 
 
@@ -48,12 +52,12 @@ def test_cap_geodesic_curvature(grid_1d):
 def test_cap_volume(grid_1d):
     for c in (0.3, 1.0):
         m = spherical_cap(CapParams(c), grid_1d)
-        assert volume(m) == pytest.approx(4.0 * np.pi / (1.0 + c), rel=2e-5)
+        assert m.v_M == pytest.approx(4.0 * np.pi / (1.0 + c), rel=2e-5)
 
 
 def test_normalized_cap_volume(grid_1d):
     m = spherical_cap(CapParams(0.5), grid_1d, normalize_volume=True)
-    assert volume(m) == pytest.approx(4.0 * np.pi, rel=2e-5)
+    assert m.v_M == pytest.approx(4.0 * np.pi, rel=2e-5)
 
 
 def test_gauss_bonnet_exact_to_rounding(grid_1d, grid_2d):
@@ -65,6 +69,37 @@ def test_gauss_bonnet_exact_to_rounding(grid_1d, grid_2d):
         make_metric(0.3 * (1.0 - grid_2d.r[:, None] ** 2) * np.ones((64, 32)), grid_2d),
     ):
         assert gauss_bonnet_residual(m) < 1e-11
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    n_r=st.integers(8, 48),
+    n_theta=st.sampled_from([1, 8, 16, 24]),
+    c=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauss_bonnet_holds_for_any_ghost_ring(n_r, n_theta, c, seed):
+    g = build_grid(GridSpec(n_r, n_theta))
+    rng = np.random.default_rng(seed)
+    u = spherical_cap(CapParams(c), g).u + 0.05 * rng.standard_normal((n_r, n_theta))
+    ghost = ghost_extrapolate(u) + 0.1 * rng.standard_normal(n_theta)
+    assert gauss_bonnet_residual(make_metric(u, g, ghost=ghost)) <= 1e-12
+
+
+def test_metric_is_frozen(hemisphere_2d):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hemisphere_2d.u = np.zeros_like(hemisphere_2d.u)
+
+
+def test_metric_quantities_match_the_functions(grid_2d):
+    m = make_metric(0.3 * (1.0 - grid_2d.r[:, None] ** 2) * np.ones((64, 32)), grid_2d)
+    R = scalar_curvature(m)
+    assert np.array_equal(m.R, R)
+    assert np.array_equal(m.log_R, np.log(R))
+    assert np.array_equal(m.kappa, geodesic_curvature(m))
+    assert m.v_M == integrate_volume(np.ones_like(m.u), m)
+    assert m.R_bar == integrate_volume(R, m) / m.v_M
+    assert m.R is m.R
 
 
 def test_hessian_trace_is_laplacian(hemisphere_2d):

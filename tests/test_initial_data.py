@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from riccidisk.errors import AmplitudeError, UsageError
-from riccidisk.geometry import scalar_curvature
+from riccidisk import initial_data
+from riccidisk.errors import AmplitudeError, CompatibilityError, UsageError
+from riccidisk.geometry import make_metric, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import (
     CapParams,
@@ -20,6 +21,26 @@ def test_cap_params_validation():
         CapParams(-0.5).validate()
     with pytest.raises(UsageError):
         CapParams(0.0).validate()
+
+
+def test_nan_cap_parameter_rejected():
+    with pytest.raises(UsageError):
+        CapParams(float("nan")).validate()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_projection_rejects_non_finite_residual(grid_2d):
+    g = grid_2d
+    u = 1e308 * g.r[:, None] ** 2 * (1.0 - g.r[:, None] ** 2) ** 4 * np.cos(2.0 * g.theta)
+    with pytest.raises(CompatibilityError):
+        project_compatibility(make_metric(u, g))
+
+
+def test_projection_rejects_singular_jacobian(grid_2d, monkeypatch):
+    # a residual that ignores psi has a zero Jacobian
+    monkeypatch.setattr(initial_data, "_smooth_residual", lambda u, grid: np.ones(grid.n_theta))
+    with pytest.raises(CompatibilityError, match="singular"):
+        project_compatibility(spherical_cap(CapParams(0.5), grid_2d))
 
 
 def test_cap_params_closed_forms():
