@@ -45,7 +45,6 @@ from .initial_data import (
 )
 from .entropy import (
     EntropyRecord,
-    WParams,
     dE_dt_analytic,
     dE_dt_rhs,
     dW_dt_rhs,
@@ -71,7 +70,7 @@ __all__ = [
     "enforce_curvature_neumann", "run",
     "CapParams", "PerturbationParams", "compatibility_residual",
     "perturbed_cap", "project_compatibility", "spherical_cap",
-    "EntropyRecord", "WParams", "dE_dt_analytic", "dE_dt_rhs",
+    "EntropyRecord", "dE_dt_analytic", "dE_dt_rhs",
     "dW_dt_rhs", "entropy_euler_form", "hamilton_entropy",
     "relation_residual", "soliton_residual_L2", "w_functional",
     "ConvergenceReport", "IdentityReport", "convergence_study",

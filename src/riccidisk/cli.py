@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .entropy import WParams
 from .errors import ConfigurationError, RicciDiskError
 from .flow import FlowSchedule, Termination, run
 from .grid import GridSpec, build_grid
@@ -61,7 +60,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}")
 
     values = {}
@@ -153,42 +152,8 @@ def cmd_run(config_path: str) -> int:
     return EXIT_OK
 
 
-def _manufactured_f(grid):
-    fields = V.manufactured_fields(grid)
-    return fields["mode2"] if grid.n_theta > 1 else fields["radial_bump"]
-
-
-# check name -> (needs a trajectory, report builder(grid, initial, traj, wp))
-_CHECKS = {
-    "hamilton": (True, lambda grid, m, traj, wp: V.check_theorem_hamilton(traj)),
-    "guo": (True, lambda grid, m, traj, wp: V.check_theorem_guo(traj, wp)),
-    "avg_evolution": (True, lambda grid, m, traj, wp: V.check_avg_evolution(traj)),
-    "kappa_evolution": (True, lambda grid, m, traj, wp: V.check_kappa_evolution(traj)),
-    "normal_lemmas": (True, lambda grid, m, traj, wp: V.check_normal_lemmas(traj)),
-    "second_derivative_N": (
-        True, lambda grid, m, traj, wp: V.check_second_derivative_N(traj)
-    ),
-    "reilly": (False, lambda grid, m, traj, wp: V.check_reilly(m, _manufactured_f(grid))),
-    "lemma_useful": (
-        False, lambda grid, m, traj, wp: V.check_lemma_useful(m, _manufactured_f(grid))
-    ),
-    "lemma_time2": (False, lambda grid, m, traj, wp: V.check_lemma_time2(m)),
-    "relation": (False, lambda grid, m, traj, wp: V.check_relation(m, wp, 0.0)),
-    "negctrl_incompatible_bc": (
-        False, lambda grid, m, traj, wp: V.negctrl_incompatible_bc(grid)
-    ),
-    "negctrl_relation_corrupt": (
-        False, lambda grid, m, traj, wp: V.negctrl_relation_corrupt(m, wp, 0.0)
-    ),
-}
-KNOWN_CHECKS = frozenset(_CHECKS)
-
-
-def _run_check(name, grid, initial, traj, wp):
-    if name not in _CHECKS:
-        raise ConfigurationError(f"unknown check {name!r}")
-    _, build = _CHECKS[name]
-    return build(grid, initial, traj, wp)
+def _run_check(name, initial, traj, tau):
+    return V.CHECKS[name][1](initial, traj, tau)
 
 
 def cmd_verify(config_path: str) -> int:
@@ -196,18 +161,17 @@ def cmd_verify(config_path: str) -> int:
         cfg = parse_config(config_path)
         if not cfg.checks:
             raise ConfigurationError("verify.checks is empty")
-        unknown = [c for c in cfg.checks if c not in KNOWN_CHECKS]
+        unknown = [c for c in cfg.checks if c not in V.CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks: {', '.join(unknown)}")
 
         grid = build_grid(cfg.grid)
         initial = perturbed_cap(cfg.cap, cfg.perturbation, grid)
-        wp = WParams(cfg.w_horizon)
         traj = None
-        if any(_CHECKS[c][0] for c in cfg.checks):
+        if any(V.CHECKS[c][0] for c in cfg.checks):
             traj = run(initial, cfg.schedule, cfg.w_horizon)
 
-        reports = [_run_check(c, grid, initial, traj, wp) for c in cfg.checks]
+        reports = [_run_check(c, initial, traj, cfg.w_horizon) for c in cfg.checks]
         with open(cfg.report_jsonl, "w", encoding="utf-8", newline="\n") as fh:
             for rep in reports:
                 fh.write(rep.to_json() + "\n")
@@ -225,15 +189,12 @@ def cmd_verify(config_path: str) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-_STUDIES = {"reilly", "lemma_useful", "lemma_time2", "entropy_constancy", "hamilton"}
-
-
 def cmd_convergence(config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
         if not cfg.checks:
             raise ConfigurationError("verify.checks is empty")
-        unknown = [c for c in cfg.checks if c not in _STUDIES]
+        unknown = [c for c in cfg.checks if c not in V.STUDIES]
         if unknown:
             raise ConfigurationError(f"no convergence study named: {', '.join(unknown)}")
         rows = []

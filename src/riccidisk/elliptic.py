@@ -118,7 +118,7 @@ class NeumannSolution:
     linear_residual: float     # final relative algebraic residual
 
 
-def solve_poisson_neumann(rho, m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSolution:
+def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
     """Solve lap_g f = rho, f_nu = 0, returning the mean-zero solution."""
     grid = m.grid
     n = grid.n_r * grid.n_theta
@@ -148,7 +148,7 @@ def solve_poisson_neumann(rho, m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSo
 
     maxiter = 10 * n
     M = _operator(grid.n_r, grid.n_theta)[1]
-    x, info = spla.cg(-A, -b, rtol=tol, atol=0.0, maxiter=maxiter, M=M)
+    x, info = spla.cg(-A, -b, rtol=DEFAULT_TOL, atol=0.0, maxiter=maxiter, M=M)
     lin_res = float(np.linalg.norm(A @ x - b)) / b_norm
     if info != 0:
         raise SolverError(
@@ -161,11 +161,11 @@ def solve_poisson_neumann(rho, m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSo
     return NeumannSolution(f, compat, lin_res)
 
 
-def potential_f(m: ConformalMetric, tol=DEFAULT_TOL) -> NeumannSolution:
+def potential_f(m: ConformalMetric) -> NeumannSolution:
     """Potential of the monotonicity formula: lap_g f = Rbar - R, f_nu = 0.
 
     The data integrates to zero analytically by the definition of Rbar, so
     the reported compatibility residual is pure quadrature error.  R, Rbar
     and v(M) are read from the metric, which evaluates them once.
     """
-    return solve_poisson_neumann(m.R_bar - m.R, m, tol=tol)
+    return solve_poisson_neumann(m.R_bar - m.R, m)

@@ -9,6 +9,8 @@ Implements, for the evolving disk metric:
 
 together with the analytic expressions for dE/dt and dW/dt whose agreement
 with finite differences in time is what the verification suite checks.
+W and dW/dt depend on time only through tau = T - t, so the Guo-type
+functionals take tau itself, which must be positive.
 
 Every functional takes a :class:`~riccidisk.geometry.ConformalMetric` and
 reads R, log R, v(M), int R dv, Rbar, kappa and int kappa ds from it; the
@@ -44,13 +46,6 @@ from .grid import (
 
 
 @dataclass
-class WParams:
-    """Backward-time horizon T; tau = T - t must stay positive."""
-
-    w_horizon: float
-
-
-@dataclass
 class EntropyRecord:
     t: float
     tau: float
@@ -69,8 +64,7 @@ class EntropyRecord:
     kappa_max: float
 
 
-def _tau(wp: WParams, t: float) -> float:
-    tau = wp.w_horizon - t
+def _tau(tau: float) -> float:
     if not tau > 0.0:  # NaN fails too
         raise DomainError(f"tau = {tau:.3e} is not positive")
     return tau
@@ -81,8 +75,8 @@ def hamilton_entropy(m: ConformalMetric) -> float:
     return integrate_volume(m.R * m.log_R, m) - log(m.R_bar) * m.int_R
 
 
-def w_functional(m: ConformalMetric, wp: WParams, t: float) -> float:
-    tau = _tau(wp, t)
+def w_functional(m: ConformalMetric, tau: float) -> float:
+    tau = _tau(tau)
     grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
     integrand = (tau * (m.R - grad_log_r_sq) - m.log_R - log(tau)) * m.R
     return integrate_volume(integrand, m) - 2.0 * log(tau) * m.int_kappa
@@ -117,13 +111,13 @@ def dE_dt_rhs(m: ConformalMetric, f) -> float:
     return -(term1 + term2) - term3
 
 
-def dW_dt_rhs(m: ConformalMetric, wp: WParams, t: float) -> float:
+def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     """Right-hand side of the Guo-type monotonicity formula.
 
     2 tau int R |R g/2 + Hess log R - g/(2 tau)|^2 dv
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
-    tau = _tau(wp, t)
+    tau = _tau(tau)
     T = shifted_hessian(m.log_R, m, 0.5 * m.R - 0.5 / tau)
     interior = 2.0 * tau * integrate_volume(m.R * tensor_norm_sq(T, m), m)
     R_b = boundary_value(m.R)
@@ -144,8 +138,8 @@ def soliton_residual_L2(m: ConformalMetric, f) -> float:
     return sqrt(max(_soliton_norm_sq(m, f), 0.0))
 
 
-def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -> float:
-    """Residual of the W-E relation
+def relation_residual(m: ConformalMetric, tau: float, dE_dt: float) -> tuple:
+    """Residual of the W-E relation, returned with W as ``(residual, W)``:
 
     W = tau dE/dt - E - 4 pi chi log tau + tau v Rbar^2 - log Rbar int R dv.
 
@@ -153,7 +147,7 @@ def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -
     estimate); by default use :func:`dE_dt_analytic` so the residual isolates
     the algebraic identity from time-discretization error.
     """
-    tau = _tau(wp, t)
+    tau = _tau(tau)
     rhs_val = (
         tau * dE_dt
         - hamilton_entropy(m)
@@ -161,7 +155,8 @@ def relation_residual(m: ConformalMetric, wp: WParams, t: float, dE_dt: float) -
         + tau * m.v_M * m.R_bar**2
         - log(m.R_bar) * m.int_R
     )
-    return abs(w_functional(m, wp, t) - rhs_val)
+    w = w_functional(m, tau)
+    return abs(w - rhs_val), w
 
 
 def entropy_euler_form(traj) -> list:
@@ -205,23 +200,23 @@ def entropy_euler_form(traj) -> list:
 
 def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord:
     """Assemble the per-snapshot diagnostics used by the flow and CLI."""
-    wp = WParams(w_horizon)
+    tau = w_horizon - t
     n_partial = integrate_volume(m.R * m.log_R, m)
     r_partial = log(m.R_bar) * m.int_R
     sol = potential_f(m)
     return EntropyRecord(
         t=t,
-        tau=w_horizon - t,
+        tau=tau,
         v_M=m.v_M,
         R_bar=m.R_bar,
         E_partial=n_partial - r_partial,
         N_partial=n_partial,
         R_partial=r_partial,
-        W_partial=w_functional(m, wp, t),
+        W_partial=w_functional(m, tau),
         min_R=float(m.R.min()),
         gauss_bonnet_res=gauss_bonnet_residual(m),
         dE_dt_rhs=dE_dt_rhs(m, sol.f),
-        dW_dt_rhs=dW_dt_rhs(m, wp, t),
+        dW_dt_rhs=dW_dt_rhs(m, tau),
         soliton_residual_L2=soliton_residual_L2(m, sol.f),
         kappa_min=float(m.kappa.min()),
         kappa_max=float(m.kappa.max()),

@@ -54,18 +54,18 @@ class FlowTrajectory:
     termination: Termination = Termination.COMPLETED
 
 
-def enforce_curvature_neumann(m: ConformalMetric) -> ConformalMetric:
-    """Return the metric with its ghost ring set so that d_r R(1) = 0.
+def enforce_curvature_neumann(u, grid) -> ConformalMetric:
+    """The metric exp(u) g0 with its ghost ring set so that d_r R(1) = 0.
 
     Only the outermost ring of R depends on the ghost, and linearly, so the
-    closure is a direct solve per boundary node; interior u is untouched.
+    closure is a direct solve per boundary node; u is taken as it is.
     """
     ghost = _kernels.curvature_neumann_ghost(
-        np.ascontiguousarray(m.u), m.grid.r, m.grid.dr, m.grid.dtheta
+        np.ascontiguousarray(u), grid.r, grid.dr, grid.dtheta
     )
     if not np.all(np.isfinite(ghost)):
         raise BoundaryClosureError("curvature ghost closure produced non-finite values")
-    return ConformalMetric(m.u, m.grid, ghost)
+    return ConformalMetric(u, grid, ghost)
 
 
 def rhs(m: ConformalMetric):
@@ -78,10 +78,6 @@ def cfl_dt(m: ConformalMetric, safety: float) -> float:
     g = m.grid
     h = g.dr if g.n_theta == 1 else min(g.dr, g.r[0] * g.dtheta)
     return safety * float(np.exp(m.u).min()) * h * h / 4.0
-
-
-def _stage_metric(u, template: ConformalMetric) -> ConformalMetric:
-    return enforce_curvature_neumann(ConformalMetric(u, template.grid, template.u_ghost))
 
 
 def step(s: FlowState, dt: float) -> FlowState:
@@ -97,13 +93,13 @@ def step(s: FlowState, dt: float) -> FlowState:
     if dt == 0.0:
         return s
     m0 = s.metric
-    u0 = m0.u
+    u0, grid = m0.u, m0.grid
     k1 = rhs(m0)
-    k2 = rhs(_stage_metric(u0 + 0.5 * dt * k1, m0))
-    k3 = rhs(_stage_metric(u0 + 0.5 * dt * k2, m0))
-    k4 = rhs(_stage_metric(u0 + dt * k3, m0))
+    k2 = rhs(enforce_curvature_neumann(u0 + 0.5 * dt * k1, grid))
+    k3 = rhs(enforce_curvature_neumann(u0 + 0.5 * dt * k2, grid))
+    k4 = rhs(enforce_curvature_neumann(u0 + dt * k3, grid))
     u_new = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    m_new = _stage_metric(u_new, m0)
+    m_new = enforce_curvature_neumann(u_new, grid)
     r_min = float(m_new.R.min())
     if not r_min > 0.0:  # NaN fails too
         raise PositivityError(
@@ -127,7 +123,7 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
             f"w_horizon ({w_horizon}) must exceed t_end ({sched.t_end})"
         )
 
-    state = FlowState(0.0, enforce_curvature_neumann(initial))
+    state = FlowState(0.0, enforce_curvature_neumann(initial.u, initial.grid))
     r0_min = float(state.metric.R.min())
     if not r0_min > 0.0:  # NaN fails too
         raise PositivityError(

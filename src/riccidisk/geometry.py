@@ -172,10 +172,10 @@ def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None):
     return np.exp(-m.u) * (f_r**2 + f_t**2 / g.r[:, None] ** 2)
 
 
-def grad_diff_norm_sq(a, b, m: ConformalMetric, ghost_a=None, ghost_b=None):
+def grad_diff_norm_sq(a, b, m: ConformalMetric, ghost_a=None):
     """|grad a - grad b|^2_g, used for the |grad f - grad log R|^2 integrand."""
     g = m.grid
-    dr_ = d_r(a, g, ghost_a) - d_r(b, g, ghost_b)
+    dr_ = d_r(a, g, ghost_a) - d_r(b, g)
     dt_ = d_theta(a, g) - d_theta(b, g)
     return np.exp(-m.u) * (dr_**2 + dt_**2 / g.r[:, None] ** 2)
 

@@ -58,9 +58,6 @@ class PolarGrid:
     def spec(self):
         return GridSpec(self.n_r, self.n_theta)
 
-    def zeros(self):
-        return np.zeros((self.n_r, self.n_theta))
-
 
 @dataclass
 class TensorField:
@@ -164,15 +161,10 @@ def d_r_d_theta(phi, grid, ghost=None):
     return d_theta(d_r(phi, grid, ghost), grid)
 
 
-def gradient0(phi, grid, ghost=None):
-    """Flat orthonormal-frame gradient components (d_r phi, r^-1 d_theta phi)."""
-    return d_r(phi, grid, ghost), d_theta(phi, grid) / grid.r[:, None]
-
-
 # ---------------------------------------------------------------------------
 # boundary extraction
 
-def boundary_value(phi, grid=None):
+def boundary_value(phi):
     """Field extrapolated to r = 1, one value per boundary node."""
     a, b, c = _BVAL_W
     return a * phi[-1] + b * phi[-2] + c * phi[-3]

@@ -74,7 +74,7 @@ def spherical_cap(p: CapParams, grid: PolarGrid, normalize_volume=False) -> Conf
     u = np.broadcast_to(_cap_u(p.c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
     if normalize_volume:
         u += np.log(1.0 + p.c)
-    return enforce_curvature_neumann(make_metric(u, grid))
+    return enforce_curvature_neumann(u, grid)
 
 
 def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> ConformalMetric:
@@ -199,7 +199,7 @@ def project_compatibility(m: ConformalMetric):
         )
 
     u_new = m.u + psi[None, :] * profile
-    projected = enforce_curvature_neumann(make_metric(u_new, grid))
+    projected = enforce_curvature_neumann(u_new, grid)
     correction = float(np.max(np.abs(psi)))
     return projected, correction
 

@@ -15,12 +15,12 @@ fail the same model.
 
 import json
 from dataclasses import dataclass, replace
-from math import log
 
 import numpy as np
 
-from .entropy import WParams, dE_dt_analytic, relation_residual, w_functional
+from .entropy import dE_dt_analytic, relation_residual
 from .errors import UsageError
+from .flow import FlowSchedule, run
 from .geometry import (
     ConformalMetric,
     boundary_gradient_inner,
@@ -43,6 +43,7 @@ from .grid import (
     integrate_volume,
     radial_derivative_at_boundary_interior,
 )
+from .initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 # frozen tolerance constants; C1 absorbs the early-time third derivatives
 # of the entropies seen by the centered differences over records
@@ -96,16 +97,28 @@ def tolerance(dt: float, h: float, scale: float) -> float:
     return (C1 * dt * dt + C2 * h * h) * scale
 
 
+def _scale(lhs, rhs, scale_hint):
+    return max(1.0, abs(lhs), abs(rhs), float(scale_hint))
+
+
+def _within(lhs, rhs, grid, dt, scale_hint=0.0) -> bool:
+    """The tolerance model: |lhs - rhs| <= (C1 dt^2 + C2 h^2) * scale.
+
+    ``scale_hint`` is the magnitude of the terms that the identity cancels,
+    so near-zero identities are not held to an absolute tolerance finer
+    than the computation that produced them.
+    """
+    scale = _scale(lhs, rhs, scale_hint)
+    return bool(abs(lhs - rhs) <= tolerance(dt, grid_h(grid), scale))
+
+
 def _report(name, lhs, rhs, grid, dt, extra_ok=True, scale_hint=0.0) -> IdentityReport:
-    """Build a report; ``scale_hint`` is the magnitude of the terms that the
-    identity cancels, so near-zero identities are not held to an absolute
-    tolerance finer than the computation that produced them."""
+    """Build a report that passes iff :func:`_within` and ``extra_ok`` hold."""
     lhs = float(lhs)
     rhs = float(rhs)
     abs_err = abs(lhs - rhs)
-    scale = max(1.0, abs(lhs), abs(rhs), float(scale_hint))
-    rel_err = abs_err / scale
-    passed = bool(abs_err <= tolerance(dt, grid_h(grid), scale)) and bool(extra_ok)
+    rel_err = abs_err / _scale(lhs, rhs, scale_hint)
+    passed = _within(lhs, rhs, grid, dt, scale_hint) and bool(extra_ok)
     return IdentityReport(name, lhs, rhs, abs_err, rel_err, grid.spec, dt, passed)
 
 
@@ -138,28 +151,31 @@ def _probe(traj):
     return k, ts[k] - ts[k - 1], ts[k + 1] - ts[k]
 
 
+def _ddt(traj, field, fd=_fd1):
+    """FD time derivative of a record field at the probe record.
+
+    Returns ``(value, k, dt, grid)``: the derivative, the probe index, the
+    larger of the two spacings around it and the snapshot's grid.
+    """
+    k, h1, h2 = _probe(traj)
+    ym, y0, yp = (getattr(r, field) for r in traj.records[k - 1 : k + 2])
+    return fd(ym, y0, yp, h1, h2), k, max(h1, h2), traj.snapshots[k].metric.grid
+
+
 # ---------------------------------------------------------------------------
 # monotonicity formulas
 
 
 def check_theorem_hamilton(traj) -> IdentityReport:
     """Centered FD of E against the dissipative right-hand side."""
-    k, h1, h2 = _probe(traj)
-    rs = traj.records
-    lhs = _fd1(rs[k - 1].E_partial, rs[k].E_partial, rs[k + 1].E_partial, h1, h2)
-    rhs = rs[k].dE_dt_rhs
-    grid = traj.snapshots[k].metric.grid
-    return _report("theorem_hamilton", lhs, rhs, grid, max(h1, h2))
+    lhs, k, dt, grid = _ddt(traj, "E_partial")
+    return _report("theorem_hamilton", lhs, traj.records[k].dE_dt_rhs, grid, dt)
 
 
-def check_theorem_guo(traj, wp: WParams) -> IdentityReport:
+def check_theorem_guo(traj) -> IdentityReport:
     """Centered FD of W against the soliton-residual right-hand side."""
-    k, h1, h2 = _probe(traj)
-    rs = traj.records
-    lhs = _fd1(rs[k - 1].W_partial, rs[k].W_partial, rs[k + 1].W_partial, h1, h2)
-    rhs = rs[k].dW_dt_rhs
-    grid = traj.snapshots[k].metric.grid
-    return _report("theorem_guo", lhs, rhs, grid, max(h1, h2))
+    lhs, k, dt, grid = _ddt(traj, "W_partial")
+    return _report("theorem_guo", lhs, traj.records[k].dW_dt_rhs, grid, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +258,11 @@ def check_lemma_useful(m: ConformalMetric, f) -> IdentityReport:
     return _report("lemma_useful", left[j], right[j], m.grid, 0.0, scale_hint=hint)
 
 
+def _dN_dt_by_parts(m: ConformalMetric) -> float:
+    """dN/dt = int ((lap R) log R + R^2) dv, before integration by parts."""
+    return integrate_volume(laplace_beltrami(m.R, m) * m.log_R + m.R * m.R, m)
+
+
 def check_lemma_time2(m: ConformalMetric) -> IdentityReport:
     """Two integral forms of dN/dt, equal by parts when d_r R(1) = 0.
 
@@ -249,21 +270,22 @@ def check_lemma_time2(m: ConformalMetric) -> IdentityReport:
     On an incompatible metric they differ by the boundary flux of R, which
     is what the negative control exploits.
     """
-    R, log_r = m.R, m.log_R
-    lhs = integrate_volume(laplace_beltrami(R, m) * log_r + R * R, m)
-    rhs = integrate_volume((R - metric_grad_norm_sq(log_r, m)) * R, m)
-    return _report("lemma_time2", lhs, rhs, m.grid, 0.0)
+    rhs = integrate_volume((m.R - metric_grad_norm_sq(m.log_R, m)) * m.R, m)
+    return _report("lemma_time2", _dN_dt_by_parts(m), rhs, m.grid, 0.0)
 
 
-def check_relation(m: ConformalMetric, wp: WParams, t: float) -> IdentityReport:
+def _relation_report(name, m: ConformalMetric, tau: float, dE_dt: float) -> IdentityReport:
+    """W-E relation residual, held to quadrature scale 1e-10 max(1, |W|):
+    the relation is an exact algebraic identity, so the generic h^2 model
+    does not apply."""
+    res, w = relation_residual(m, tau, dE_dt)
+    rep = _report(name, res, 0.0, m.grid, 0.0)
+    return replace(rep, passed=bool(res <= 1.0e-10 * max(1.0, abs(w))))
+
+
+def check_relation(m: ConformalMetric, tau: float) -> IdentityReport:
     """Algebraic W-E relation residual (should be quadrature-exact)."""
-    res = relation_residual(m, wp, t, dE_dt_analytic(m))
-    rep = _report("relation", res, 0.0, m.grid, 0.0)
-    # residual of an exact algebraic identity: hold it to quadrature scale,
-    # not to the generic h^2 model
-    w_scale = max(1.0, abs(w_functional(m, wp, t)))
-    passed = res <= 1.0e-10 * w_scale
-    return replace(rep, passed=bool(passed))
+    return _relation_report("relation", m, tau, dE_dt_analytic(m))
 
 
 # ---------------------------------------------------------------------------
@@ -272,18 +294,11 @@ def check_relation(m: ConformalMetric, wp: WParams, t: float) -> IdentityReport:
 
 def check_avg_evolution(traj) -> IdentityReport:
     """d Rbar / dt = Rbar^2, and d(log Rbar int R dv)/dt = v(M) Rbar^2."""
-    k, h1, h2 = _probe(traj)
-    rs = traj.records
-    lhs = _fd1(rs[k - 1].R_bar, rs[k].R_bar, rs[k + 1].R_bar, h1, h2)
-    rhs = rs[k].R_bar ** 2
-
-    lhs2 = _fd1(rs[k - 1].R_partial, rs[k].R_partial, rs[k + 1].R_partial, h1, h2)
-    rhs2 = rs[k].v_M * rs[k].R_bar ** 2
-    grid = traj.snapshots[k].metric.grid
-    dt = max(h1, h2)
-    scale2 = max(1.0, abs(lhs2), abs(rhs2))
-    extra_ok = abs(lhs2 - rhs2) <= tolerance(dt, grid_h(grid), scale2)
-    return _report("avg_evolution", lhs, rhs, grid, dt, extra_ok=extra_ok)
+    lhs, k, dt, grid = _ddt(traj, "R_bar")
+    lhs2 = _ddt(traj, "R_partial")[0]
+    rec = traj.records[k]
+    extra_ok = _within(lhs2, rec.v_M * rec.R_bar**2, grid, dt)
+    return _report("avg_evolution", lhs, rec.R_bar**2, grid, dt, extra_ok=extra_ok)
 
 
 def check_kappa_evolution(traj) -> IdentityReport:
@@ -349,25 +364,15 @@ def check_second_derivative_N(traj) -> IdentityReport:
     Also checks the first-derivative form dN/dt = int ((lap R) log R + R^2) dv
     as part of the pass criterion.
     """
-    k, h1, h2 = _probe(traj)
-    rs = traj.records
-    lhs = _fd2(rs[k - 1].N_partial, rs[k].N_partial, rs[k + 1].N_partial, h1, h2)
-
+    lhs, k, dt, grid = _ddt(traj, "N_partial", fd=_fd2)
     m = traj.snapshots[k].metric
-    R, log_r, kappa = m.R, m.log_R, m.kappa
-    T = shifted_hessian(log_r, m, 0.5 * R)
-    R_b = boundary_value(R)
-    db = boundary_value(log_r)
-    rhs = 2.0 * integrate_volume(R * tensor_norm_sq(T, m), m) + 2.0 * integrate_boundary(
-        kappa * R_b * boundary_gradient_inner(db, db, m), m
+    T = shifted_hessian(m.log_R, m, 0.5 * m.R)
+    db = boundary_value(m.log_R)
+    rhs = 2.0 * integrate_volume(m.R * tensor_norm_sq(T, m), m) + 2.0 * integrate_boundary(
+        m.kappa * boundary_value(m.R) * boundary_gradient_inner(db, db, m), m
     )
-
-    lhs1 = _fd1(rs[k - 1].N_partial, rs[k].N_partial, rs[k + 1].N_partial, h1, h2)
-    rhs1 = integrate_volume(laplace_beltrami(R, m) * log_r + R * R, m)
-    dt = max(h1, h2)
-    scale1 = max(1.0, abs(lhs1), abs(rhs1))
-    extra_ok = abs(lhs1 - rhs1) <= tolerance(dt, grid_h(m.grid), scale1)
-    return _report("second_derivative_N", lhs, rhs, m.grid, dt, extra_ok=extra_ok)
+    extra_ok = _within(_ddt(traj, "N_partial")[0], _dN_dt_by_parts(m), grid, dt)
+    return _report("second_derivative_N", lhs, rhs, grid, dt, extra_ok=extra_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +392,10 @@ def negctrl_incompatible_bc(grid: PolarGrid) -> IdentityReport:
     return replace(rep, name="negctrl_incompatible_bc")
 
 
-def negctrl_relation_corrupt(m: ConformalMetric, wp: WParams, t: float) -> IdentityReport:
+def negctrl_relation_corrupt(m: ConformalMetric, tau: float) -> IdentityReport:
     """W-E relation fed a corrupted dE/dt; must be flagged as a failure."""
     bad = 2.0 * dE_dt_analytic(m) + 1.0
-    res = relation_residual(m, wp, t, bad)
-    rep = _report("negctrl_relation_corrupt", res, 0.0, m.grid, 0.0)
-    w_scale = max(1.0, abs(w_functional(m, wp, t)))
-    return replace(rep, passed=bool(res <= 1.0e-10 * w_scale))
+    return _relation_report("negctrl_relation_corrupt", m, tau, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +419,39 @@ def manufactured_fields(grid: PolarGrid) -> dict:
     return out
 
 
-def _study_metric(name, grid):
-    # deferred import: initial_data depends on flow, which imports entropy
-    from .initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
+def _manufactured_f(grid: PolarGrid):
+    """The field of the static checks: mode2 on a 2-d grid, else radial_bump."""
+    return manufactured_fields(grid)["mode2" if grid.n_theta > 1 else "radial_bump"]
 
+
+# check name -> (needs a trajectory, report builder(initial, traj, tau)); each
+# builder names its check, so the check is looked up when the builder runs
+CHECKS = {
+    "hamilton": (True, lambda m, traj, tau: check_theorem_hamilton(traj)),
+    "guo": (True, lambda m, traj, tau: check_theorem_guo(traj)),
+    "avg_evolution": (True, lambda m, traj, tau: check_avg_evolution(traj)),
+    "kappa_evolution": (True, lambda m, traj, tau: check_kappa_evolution(traj)),
+    "normal_lemmas": (True, lambda m, traj, tau: check_normal_lemmas(traj)),
+    "second_derivative_N": (True, lambda m, traj, tau: check_second_derivative_N(traj)),
+    "reilly": (False, lambda m, traj, tau: check_reilly(m, _manufactured_f(m.grid))),
+    "lemma_useful": (
+        False, lambda m, traj, tau: check_lemma_useful(m, _manufactured_f(m.grid))
+    ),
+    "lemma_time2": (False, lambda m, traj, tau: check_lemma_time2(m)),
+    "relation": (False, lambda m, traj, tau: check_relation(m, tau)),
+    "negctrl_incompatible_bc": (
+        False, lambda m, traj, tau: negctrl_incompatible_bc(m.grid)
+    ),
+    "negctrl_relation_corrupt": (
+        False, lambda m, traj, tau: negctrl_relation_corrupt(m, tau)
+    ),
+}
+
+# names accepted by convergence_study
+STUDIES = frozenset({"reilly", "lemma_useful", "lemma_time2", "entropy_constancy", "hamilton"})
+
+
+def _study_metric(name, grid):
     if name in ("reilly", "lemma_useful"):
         return spherical_cap(CapParams(1.0), grid)
     mode = 2 if grid.n_theta > 1 else 0
@@ -428,15 +459,9 @@ def _study_metric(name, grid):
 
 
 def _study_error(name, grid):
-    from .flow import FlowSchedule, run
-    from .initial_data import CapParams, spherical_cap
-
     if name in ("reilly", "lemma_useful"):
-        m = _study_metric(name, grid)
-        f_name = "mode2" if grid.n_theta > 1 else "radial_bump"
-        f = manufactured_fields(grid)[f_name]
         check = check_reilly if name == "reilly" else check_lemma_useful
-        return check(m, f).abs_err, 0.0
+        return check(_study_metric(name, grid), _manufactured_f(grid)).abs_err, 0.0
     if name == "lemma_time2":
         return check_lemma_time2(_study_metric(name, grid)).abs_err, 0.0
     if name == "entropy_constancy":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from riccidisk.cli import EXIT_OK, cmd_run
-from riccidisk.entropy import WParams, hamilton_entropy
+from riccidisk.entropy import hamilton_entropy
 from riccidisk.flow import FlowSchedule, cfl_dt, run
 from riccidisk.geometry import geodesic_curvature, make_metric
 from riccidisk.grid import GridSpec, build_grid
@@ -32,7 +32,7 @@ from riccidisk.verify import (
     _probe,
 )
 
-WP = WParams(0.5)
+TAU = 0.5
 
 
 def _verdict(capsys, num, label, ok):
@@ -161,7 +161,7 @@ def test_criterion_5_lemma_suite(capsys):
     ok = ok and np.max(np.abs(kappa_end - predicted)) < C2 * g.dr**2
 
     ok = ok and not negctrl_incompatible_bc(g).passed
-    ok = ok and not negctrl_relation_corrupt(m0, WP, 0.0).passed
+    ok = ok and not negctrl_relation_corrupt(m0, TAU).passed
     _verdict(capsys, 5, "lemma suite and negative controls", ok)
 
 
@@ -183,7 +183,7 @@ def test_criterion_7_relation(capsys):
     for c, eps, mode, spec in _SUITE_CONFIGS:
         g = build_grid(spec)
         m = perturbed_cap(CapParams(c), PerturbationParams(eps, mode), g)
-        rep = check_relation(m, WP, 0.0)
+        rep = check_relation(m, TAU)
         ok = ok and rep.passed and rep.lhs < C2 * grid_h(g) ** 2
 
     from riccidisk.entropy import entropy_euler_form

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riccidisk.verify
 from riccidisk.cli import (
@@ -7,6 +9,7 @@ from riccidisk.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     CSV_COLUMNS,
+    ALL_KEYS,
     _FLOAT_KEYS,
     cmd_convergence,
     cmd_run,
@@ -14,24 +17,28 @@ from riccidisk.cli import (
     main,
     parse_config,
 )
-from riccidisk.errors import ConfigurationError
+from riccidisk.errors import ConfigurationError, RicciDiskError
+
+_VALID = {
+    "grid.n_r": 64,
+    "grid.n_theta": 1,
+    "initial.cap_c": 1.0,
+    "initial.eps": 0.0,
+    "initial.mode": 0,
+    "schedule.t_end": 0.01,
+    "schedule.cfl_safety": 0.8,
+    "schedule.record_every": 50,
+    "w.horizon": 0.5,
+    "out.trajectory_csv": "traj.csv",
+    "out.report_jsonl": "report.jsonl",
+    "verify.checks": "hamilton, guo, relation",
+}
 
 
 def _write_config(path, **overrides):
-    values = {
-        "grid.n_r": 64,
-        "grid.n_theta": 1,
-        "initial.cap_c": 1.0,
-        "initial.eps": 0.0,
-        "initial.mode": 0,
-        "schedule.t_end": 0.01,
-        "schedule.cfl_safety": 0.8,
-        "schedule.record_every": 50,
-        "w.horizon": 0.5,
-        "out.trajectory_csv": str(path.parent / "traj.csv"),
-        "out.report_jsonl": str(path.parent / "report.jsonl"),
-        "verify.checks": "hamilton, guo, relation",
-    }
+    values = dict(_VALID)
+    values["out.trajectory_csv"] = str(path.parent / "traj.csv")
+    values["out.report_jsonl"] = str(path.parent / "report.jsonl")
     values.update(overrides)
     lines = ["# experiment config", ""]
     lines += [f"{k} = {v}" for k, v in values.items() if v is not None]
@@ -70,6 +77,33 @@ def test_parse_config_errors(tmp_path):
 
     with pytest.raises(ConfigurationError):
         parse_config(str(tmp_path / "missing.cfg"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    junk=st.dictionaries(
+        st.sampled_from(sorted(ALL_KEYS)),
+        st.one_of(st.sampled_from(["nan", "1e400", "-3", "="]), st.text(max_size=12)),
+        max_size=4,
+    ),
+    junk_lines=st.lists(st.text(max_size=20), max_size=3),
+    tail=st.binary(max_size=8),
+)
+def test_parse_config_only_raises_typed_errors(tmp_path_factory, junk, junk_lines, tail):
+    lines = [f"{k} = {v}" for k, v in dict(_VALID, **junk).items()] + junk_lines
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + tail)
+    try:
+        parse_config(str(path))
+    except RicciDiskError:
+        pass
+
+
+def test_cmd_run_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"grid.n_r = 64\xff\n")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cmd_run_writes_trajectory(tmp_path):

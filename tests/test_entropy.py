@@ -5,7 +5,6 @@ from math import log, pi
 from riccidisk import _kernels
 from riccidisk.elliptic import potential_f
 from riccidisk.entropy import (
-    WParams,
     dE_dt_analytic,
     dE_dt_rhs,
     dW_dt_rhs,
@@ -29,7 +28,7 @@ def test_hemisphere_entropy_vanishes(hemisphere_1d):
 
 
 def test_hemisphere_w_is_4pi(hemisphere_1d):
-    assert w_functional(hemisphere_1d, WParams(0.5), 0.0) == pytest.approx(
+    assert w_functional(hemisphere_1d, 0.5) == pytest.approx(
         4.0 * pi, abs=1e-4
     )
 
@@ -42,12 +41,12 @@ def test_cap_w_closed_form(grid_1d):
     expected = (2.0 * c * tau - log(2.0 * c) - log(tau)) * 2.0 * c * v - 2.0 * log(
         tau
     ) * boundary
-    assert w_functional(m, WParams(tau), 0.0) == pytest.approx(expected, rel=1e-4)
+    assert w_functional(m, tau) == pytest.approx(expected, rel=1e-4)
 
 
 def test_w_rejects_nonpositive_tau(hemisphere_1d):
     with pytest.raises(DomainError):
-        w_functional(hemisphere_1d, WParams(0.5), 0.6)
+        w_functional(hemisphere_1d, 0.5 - 0.6)
 
 
 def test_entropy_rejects_nonpositive_curvature(grid_1d):
@@ -87,12 +86,13 @@ def test_record_matches_standalone_functions(request, grid_name, mode):
     m = perturbed_cap(
         CapParams(0.5), PerturbationParams(0.05, mode), request.getfixturevalue(grid_name)
     )
-    t, wp = 0.1, WParams(1.0)
-    rec = make_record(m, t, wp.w_horizon)
+    t, horizon = 0.1, 1.0
+    rec = make_record(m, t, horizon)
     f = potential_f(m).f
-    assert rec.W_partial == w_functional(m, wp, t)
+    assert rec.tau == horizon - t
+    assert rec.W_partial == w_functional(m, horizon - t)
     assert rec.dE_dt_rhs == dE_dt_rhs(m, f)
-    assert rec.dW_dt_rhs == dW_dt_rhs(m, wp, t)
+    assert rec.dW_dt_rhs == dW_dt_rhs(m, horizon - t)
     assert rec.soliton_residual_L2 == soliton_residual_L2(m, f)
     assert rec.gauss_bonnet_res == gauss_bonnet_residual(m)
     assert rec.E_partial == hamilton_entropy(m)
@@ -115,14 +115,14 @@ def test_record_evaluates_curvature_once(grid_2d, monkeypatch):
 
 def test_w_rejects_nan_horizon(hemisphere_1d):
     with pytest.raises(DomainError):
-        w_functional(hemisphere_1d, WParams(float("nan")), 0.0)
+        w_functional(hemisphere_1d, float("nan"))
 
 
 def test_sign_structure_on_convex_caps(grid_2d):
     m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
     sol = potential_f(m)
     assert dE_dt_rhs(m, sol.f) <= 0.0
-    assert dW_dt_rhs(m, WParams(1.0), 0.0) >= 0.0
+    assert dW_dt_rhs(m, 1.0) >= 0.0
 
 
 def test_two_forms_of_dE_agree(grid_2d):
@@ -141,13 +141,13 @@ def test_soliton_residual_vanishes_on_caps(grid_1d):
 
 def test_relation_residual_machine_zero_at_unit_tau(grid_2d):
     m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
-    res = relation_residual(m, WParams(1.0), 0.0, dE_dt_analytic(m))
+    res, _ = relation_residual(m, 1.0, dE_dt_analytic(m))
     assert res < 1e-10
 
 
 def test_relation_residual_small_at_generic_tau(grid_1d):
     m = spherical_cap(CapParams(0.5), grid_1d)
-    res = relation_residual(m, WParams(0.7), 0.0, dE_dt_analytic(m))
+    res, _ = relation_residual(m, 0.7, dE_dt_analytic(m))
     assert res < 1e-10
 
 

@@ -11,7 +11,7 @@ from riccidisk.flow import (
     run,
     step,
 )
-from riccidisk.geometry import make_metric, scalar_curvature
+from riccidisk.geometry import ConformalMetric, make_metric, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, compatibility_residual, spherical_cap
 
@@ -33,7 +33,7 @@ def test_enforced_cap_satisfies_boundary_condition(grid_1d):
 
 def test_enforcement_touches_only_the_ghost(grid_1d):
     m = spherical_cap(CapParams(0.6), grid_1d)
-    m2 = enforce_curvature_neumann(m)
+    m2 = enforce_curvature_neumann(m.u, m.grid)
     assert np.array_equal(m.u, m2.u)
 
 
@@ -102,7 +102,7 @@ def test_nan_curvature_initial_data_rejected(grid_1d):
     # exp(800) overflows inside the block, where R = -inf * 0 is NaN
     u = np.zeros((grid_1d.n_r, 1))
     u[2:6] = -800.0
-    m = enforce_curvature_neumann(make_metric(u, grid_1d))
+    m = enforce_curvature_neumann(u, grid_1d)
     assert np.isnan(scalar_curvature(m).min())
     with pytest.raises(PositivityError):
         run(m, FlowSchedule(t_end=0.01), w_horizon=0.5)
@@ -121,3 +121,17 @@ def test_rk4_time_accuracy_vs_halved_step(grid_1d):
     s_full = step(FlowState(0.0, m0), dt)
     s_half = step(step(FlowState(0.0, m0), 0.5 * dt), 0.5 * dt)
     assert np.max(np.abs(s_full.metric.u - s_half.metric.u)) < 1e-12
+
+
+def test_step_builds_one_metric_per_closure(hemisphere_1d, monkeypatch):
+    # stages k2, k3, k4 and the new state: one closed metric each
+    calls = []
+    post_init = ConformalMetric.__post_init__
+
+    def counting_post_init(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(ConformalMetric, "__post_init__", counting_post_init)
+    step(FlowState(0.0, hemisphere_1d), cfl_dt(hemisphere_1d, 0.8))
+    assert len(calls) == 4

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from riccidisk.entropy import WParams
+import riccidisk.entropy
 from riccidisk.errors import UsageError
 from riccidisk.flow import FlowSchedule, run
 from riccidisk.grid import GridSpec, build_grid
@@ -26,7 +26,7 @@ from riccidisk.verify import (
     negctrl_relation_corrupt,
 )
 
-WP = WParams(0.5)
+TAU = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def pert_traj():
 def test_trajectory_checks_pass(hemi_traj, pert_traj):
     for traj in (hemi_traj, pert_traj):
         assert check_theorem_hamilton(traj).passed
-        assert check_theorem_guo(traj, WP).passed
+        assert check_theorem_guo(traj).passed
         assert check_avg_evolution(traj).passed
         assert check_kappa_evolution(traj).passed
         assert check_normal_lemmas(traj).passed
@@ -67,7 +67,7 @@ def test_lemma_time2_on_compatible_metric(grid_2d):
 
 def test_relation_check(grid_1d):
     m = spherical_cap(CapParams(0.5), grid_1d)
-    rep = check_relation(m, WP, 0.0)
+    rep = check_relation(m, TAU)
     assert rep.passed
     assert rep.lhs < 1e-10
 
@@ -75,7 +75,22 @@ def test_relation_check(grid_1d):
 def test_negative_controls_fail(grid_1d):
     assert not negctrl_incompatible_bc(grid_1d).passed
     m = spherical_cap(CapParams(0.5), grid_1d)
-    assert not negctrl_relation_corrupt(m, WP, 0.0).passed
+    assert not negctrl_relation_corrupt(m, TAU).passed
+
+
+@pytest.mark.parametrize("check", [check_relation, negctrl_relation_corrupt])
+def test_relation_checks_evaluate_w_once(grid_1d, monkeypatch, check):
+    m = spherical_cap(CapParams(0.5), grid_1d)
+    calls = []
+    w_functional = riccidisk.entropy.w_functional
+
+    def counting_w(*args):
+        calls.append(1)
+        return w_functional(*args)
+
+    monkeypatch.setattr(riccidisk.entropy, "w_functional", counting_w)
+    check(m, TAU)
+    assert len(calls) == 1
 
 
 def test_too_few_records_raises(grid_1d):
@@ -87,7 +102,7 @@ def test_too_few_records_raises(grid_1d):
 
 def test_report_json_keys(grid_1d):
     m = spherical_cap(CapParams(0.5), grid_1d)
-    rep = check_relation(m, WP, 0.0)
+    rep = check_relation(m, TAU)
     payload = json.loads(rep.to_json())
     assert set(payload) == {
         "name", "lhs", "rhs", "abs_err", "rel_err", "n_r", "n_theta", "dt", "pass",
