@@ -3,8 +3,8 @@
 Reductions go through ``math.fsum``, which is exactly rounded and so
 independent of summation order; results are bit-reproducible across runs.
 
-Array conventions: scalar fields are C-contiguous float64 arrays of shape
-(n_r, n_theta); ghost rings and boundary fields have shape (n_theta,).
+Array conventions: scalar fields are float64 arrays of shape (n_r, n_theta),
+of any strides; ghost rings and boundary fields have shape (n_theta,).
 """
 
 import math

@@ -8,15 +8,16 @@ Commands:
 
 Configs are flat ``key = value`` lines with a fixed key set; unknown or
 missing keys are reported with their line numbers.  Exit codes: 0 success,
-1 configuration or usage error, 2 flow terminated early, 3 verification
-failure.
+1 configuration or usage error (an output that cannot be written
+included), 2 flow terminated early, 3 verification failure.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .entropy import EntropyRecord
 from .errors import ConfigurationError, RicciDiskError
 from .flow import FlowSchedule, Termination, run
 from .grid import GridSpec, build_grid
@@ -28,12 +29,7 @@ EXIT_CONFIG = 1
 EXIT_EARLY = 2
 EXIT_VERIFY = 3
 
-CSV_COLUMNS = (
-    "t", "tau", "v_M", "R_bar", "min_R",
-    "E_partial", "N_partial", "R_partial", "W_partial",
-    "dE_dt_rhs", "dW_dt_rhs", "gauss_bonnet_res",
-    "kappa_min", "kappa_max", "soliton_residual_L2",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(EntropyRecord))
 
 _INT_KEYS = {"grid.n_r", "grid.n_theta", "initial.mode", "schedule.record_every"}
 _FLOAT_KEYS = {
@@ -125,24 +121,26 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write_trajectory(traj, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in traj.records:
-            fh.write(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS) + "\n")
+def _write_lines(path, lines):
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
 
-def _run_flow(cfg: ExperimentConfig):
-    grid = build_grid(cfg.grid)
-    initial = perturbed_cap(cfg.cap, cfg.perturbation, grid)
-    return run(initial, cfg.schedule, cfg.w_horizon)
+def _initial_metric(cfg: ExperimentConfig):
+    return perturbed_cap(cfg.cap, cfg.perturbation, build_grid(cfg.grid))
 
 
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
-        traj = _run_flow(cfg)
-        _write_trajectory(traj, cfg.trajectory_csv)
+        traj = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
+        rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in traj.records]
+        _write_lines(cfg.trajectory_csv, [",".join(CSV_COLUMNS)] + rows)
     except RicciDiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,16 +163,16 @@ def cmd_verify(config_path: str) -> int:
         if unknown:
             raise ConfigurationError(f"unknown checks: {', '.join(unknown)}")
 
-        grid = build_grid(cfg.grid)
-        initial = perturbed_cap(cfg.cap, cfg.perturbation, grid)
+        initial = _initial_metric(cfg)
         traj = None
         if any(V.CHECKS[c][0] for c in cfg.checks):
             traj = run(initial, cfg.schedule, cfg.w_horizon)
+            if traj.termination is not Termination.COMPLETED:
+                print(f"flow terminated early: {traj.termination.value}", file=sys.stderr)
+                return EXIT_EARLY
 
         reports = [_run_check(c, initial, traj, cfg.w_horizon) for c in cfg.checks]
-        with open(cfg.report_jsonl, "w", encoding="utf-8", newline="\n") as fh:
-            for rep in reports:
-                fh.write(rep.to_json() + "\n")
+        _write_lines(cfg.report_jsonl, [rep.to_json() for rep in reports])
     except RicciDiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -197,15 +195,14 @@ def cmd_convergence(config_path: str) -> int:
         unknown = [c for c in cfg.checks if c not in V.STUDIES]
         if unknown:
             raise ConfigurationError(f"no convergence study named: {', '.join(unknown)}")
-        rows = []
+        lines = ["name,h,dt,err,observed_order"]
         for name in cfg.checks:
             rep = V.convergence_study(name, cfg.grid)
-            for h, dt, err in rep.levels:
-                rows.append((name, h, dt, err, rep.observed_order))
-        with open(cfg.trajectory_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("name,h,dt,err,observed_order\n")
-            for name, h, dt, err, order in rows:
-                fh.write(f"{name},{_fmt(h)},{_fmt(dt)},{_fmt(err)},{_fmt(order)}\n")
+            order = _fmt(rep.observed_order)
+            lines += [
+                f"{name},{_fmt(h)},{_fmt(dt)},{_fmt(err)},{order}" for h, dt, err in rep.levels
+            ]
+        _write_lines(cfg.trajectory_csv, lines)
     except RicciDiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,45 +23,40 @@ is the single positivity check: a metric with min R <= 0 (or NaN) raises
 from dataclasses import dataclass
 from math import log, pi, sqrt
 
-import numpy as np
-
 from .elliptic import potential_f
 from .errors import DomainError
 from .geometry import (
     ConformalMetric,
     EULER_CHARACTERISTIC,
+    boundary_gradient_inner,
     gauss_bonnet_residual,
-    geodesic_curvature,
     grad_diff_norm_sq,
     metric_grad_norm_sq,
     shifted_hessian,
     tensor_norm_sq,
 )
-from .grid import (
-    boundary_tangential_derivative,
-    boundary_value,
-    integrate_boundary,
-    integrate_volume,
-)
+from .grid import boundary_value, ghost_mirror, integrate_boundary, integrate_volume
 
 
 @dataclass
 class EntropyRecord:
+    """One row of the trajectory CSV; the field order is the column order."""
+
     t: float
     tau: float
     v_M: float
     R_bar: float
+    min_R: float
     E_partial: float
     N_partial: float
     R_partial: float
     W_partial: float
-    min_R: float
-    gauss_bonnet_res: float
     dE_dt_rhs: float
     dW_dt_rhs: float
-    soliton_residual_L2: float
+    gauss_bonnet_res: float
     kappa_min: float
     kappa_max: float
+    soliton_residual_L2: float
 
 
 def _tau(tau: float) -> float:
@@ -84,16 +79,8 @@ def w_functional(m: ConformalMetric, tau: float) -> float:
 
 def _soliton_norm_sq(m: ConformalMetric, f) -> float:
     """int |R g/2 + Hess f - Rbar g/2|^2 dv, with the zero-flux closure of f."""
-    T = shifted_hessian(f, m, 0.5 * (m.R - m.R_bar), ghost="mirror")
+    T = shifted_hessian(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost_mirror(f))
     return integrate_volume(tensor_norm_sq(T, m), m)
-
-
-def _boundary_grad_norm_sq(field, m):
-    """|grad_{dM} (field|_dM)|^2 in the induced boundary metric."""
-    b = boundary_value(field)
-    db = boundary_tangential_derivative(b, m.grid)
-    u_b = boundary_value(m.u)
-    return np.exp(-u_b) * db**2
 
 
 def dE_dt_rhs(m: ConformalMetric, f) -> float:
@@ -105,9 +92,12 @@ def dE_dt_rhs(m: ConformalMetric, f) -> float:
     ``f`` is the Neumann potential from the elliptic module; its zero-flux
     ghost closure matches the boundary condition it was solved under.
     """
-    term1 = integrate_volume(m.R * grad_diff_norm_sq(f, m.log_R, m, ghost_a="mirror"), m)
+    term1 = integrate_volume(
+        m.R * grad_diff_norm_sq(f, m.log_R, m, ghost_a=ghost_mirror(f)), m
+    )
     term2 = 2.0 * _soliton_norm_sq(m, f)
-    term3 = 2.0 * integrate_boundary(m.kappa * _boundary_grad_norm_sq(f, m), m)
+    f_b = boundary_value(f)
+    term3 = 2.0 * integrate_boundary(m.kappa * boundary_gradient_inner(f_b, f_b, m), m)
     return -(term1 + term2) - term3
 
 
@@ -121,16 +111,21 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     T = shifted_hessian(m.log_R, m, 0.5 * m.R - 0.5 / tau)
     interior = 2.0 * tau * integrate_volume(m.R * tensor_norm_sq(T, m), m)
     R_b = boundary_value(m.R)
-    bnd = 2.0 * tau * integrate_boundary(
-        m.kappa * (R_b * _boundary_grad_norm_sq(m.log_R, m) + 1.0 / tau**2), m
-    )
+    log_R_b = boundary_value(m.log_R)
+    grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)
+    bnd = 2.0 * tau * integrate_boundary(m.kappa * (R_b * grad_b_sq + 1.0 / tau**2), m)
     return interior + bnd
 
 
-def dE_dt_analytic(m: ConformalMetric) -> float:
-    """dE/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv - v Rbar^2."""
+def dN_dt(m: ConformalMetric) -> float:
+    """dN/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv."""
     grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
-    return integrate_volume((m.R - grad_log_r_sq) * m.R, m) - m.v_M * m.R_bar**2
+    return integrate_volume((m.R - grad_log_r_sq) * m.R, m)
+
+
+def dE_dt_analytic(m: ConformalMetric) -> float:
+    """dE/dt = dN/dt - v Rbar^2, with dN/dt in its integrated-by-parts form."""
+    return dN_dt(m) - m.v_M * m.R_bar**2
 
 
 def soliton_residual_L2(m: ConformalMetric, f) -> float:
@@ -179,10 +174,7 @@ def entropy_euler_form(traj) -> list:
         )
 
     times = [s.t for s in traj.snapshots]
-    k_int = []
-    for s in traj.snapshots:
-        kappa = geodesic_curvature(s.metric)
-        k_int.append(integrate_boundary(kappa, s.metric))
+    k_int = [s.metric.int_kappa for s in traj.snapshots]
 
     out = []
     cumulative = 0.0
@@ -209,15 +201,15 @@ def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord
         tau=tau,
         v_M=m.v_M,
         R_bar=m.R_bar,
+        min_R=float(m.R.min()),
         E_partial=n_partial - r_partial,
         N_partial=n_partial,
         R_partial=r_partial,
         W_partial=w_functional(m, tau),
-        min_R=float(m.R.min()),
-        gauss_bonnet_res=gauss_bonnet_residual(m),
         dE_dt_rhs=dE_dt_rhs(m, sol.f),
         dW_dt_rhs=dW_dt_rhs(m, tau),
-        soliton_residual_L2=soliton_residual_L2(m, sol.f),
+        gauss_bonnet_res=gauss_bonnet_residual(m),
         kappa_min=float(m.kappa.min()),
         kappa_max=float(m.kappa.max()),
+        soliton_residual_L2=soliton_residual_L2(m, sol.f),
     )

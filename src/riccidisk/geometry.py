@@ -37,7 +37,7 @@ EULER_CHARACTERISTIC = 1
 class ConformalMetric:
     """Immutable metric g = exp(u) g0 with a ghost ring for u at r = 1 + dr/2.
 
-    The ghost ring is the metric's closure policy: metrics emitted by the
+    The ghost ring is the metric's boundary closure: metrics emitted by the
     initial-data and flow modules carry the curvature-Neumann ghost, while
     ad-hoc metrics default to smooth extrapolation of u.
 
@@ -94,19 +94,15 @@ class ConformalMetric:
         return integrate_boundary(self.kappa, self)
 
 
-def make_metric(u, grid, ghost="extrapolate") -> ConformalMetric:
-    """Wrap a log conformal factor; ghost may be a policy name or a ring."""
+def make_metric(u, grid, ghost=None) -> ConformalMetric:
+    """Wrap a log conformal factor with its ghost ring (array, default extrapolated)."""
     u = np.asarray(u, dtype=np.float64)
-    g = _grid._resolve_ghost(u, ghost)
-    return ConformalMetric(u, grid, np.asarray(g, dtype=np.float64))
+    return ConformalMetric(u, grid, _grid._resolve_ghost(u, ghost))
 
 
 def scalar_curvature(m: ConformalMetric):
     """R = -exp(-u) lap0(u), using the metric's ghost closure."""
-    return _kernels.curvature(
-        np.ascontiguousarray(m.u), np.ascontiguousarray(m.u_ghost),
-        m.grid.r, m.grid.dr, m.grid.dtheta,
-    )
+    return _kernels.curvature(m.u, m.u_ghost, m.grid.r, m.grid.dr, m.grid.dtheta)
 
 
 def geodesic_curvature(m: ConformalMetric):
@@ -115,7 +111,7 @@ def geodesic_curvature(m: ConformalMetric):
     d_r u is the centered difference between the ghost ring and the last
     interior ring, which sits exactly at r = 1.  This is also the outer face
     flux of the discrete Laplacian, so int R dv + 2 int kappa ds = 4 pi
-    holds to rounding for every ghost policy, not just asymptotically.
+    holds to rounding for every ghost ring, not just asymptotically.
     """
     u_b = boundary_value(m.u)
     du = (m.u_ghost - m.u[-1]) / m.grid.dr
@@ -158,12 +154,6 @@ def shifted_hessian(f, m: ConformalMetric, c, ghost=None) -> TensorField:
     return TensorField(h.rr + cg, h.rt, h.tt + cg * m.grid.r[:, None] ** 2)
 
 
-def metric_tensor(m: ConformalMetric) -> TensorField:
-    e_u = np.exp(m.u)
-    r2 = m.grid.r[:, None] ** 2
-    return TensorField(e_u, np.zeros_like(e_u), e_u * r2)
-
-
 def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None):
     """|grad f|^2_g = exp(-u)(f_r^2 + f_t^2 / r^2), pointwise nonnegative."""
     g = m.grid
@@ -203,7 +193,7 @@ def boundary_gradient_inner(a_b, b_b, m: ConformalMetric):
     u_b = boundary_value(m.u)
     da = _grid.boundary_tangential_derivative(a_b, g)
     db = _grid.boundary_tangential_derivative(b_b, g)
-    return np.exp(-u_b) * da * db
+    return np.exp(-u_b) * (da * db)
 
 
 def boundary_laplacian(b, m: ConformalMetric):

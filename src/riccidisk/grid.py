@@ -9,7 +9,9 @@ angular quadrature weight is 2 pi).
 Scalar fields are float64 arrays of shape (n_r, n_theta), boundary fields
 of shape (n_theta,).  Stencils are second-order centered; values or
 derivatives at the physical boundary r = 1 come from one-sided quadratic
-extrapolation through the last three rings.
+extrapolation through the last three rings.  Operators that reach past
+r = 1 take the values at r = 1 + dr/2 as a ghost ring (array, default
+extrapolated).
 """
 
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ def build_grid(spec: GridSpec) -> PolarGrid:
 
 
 # ---------------------------------------------------------------------------
-# ghost policies
+# ghost rings
 
 def ghost_extrapolate(phi):
     """Quadratic extrapolation of the field to the ghost radius 1 + dr/2."""
@@ -95,12 +97,9 @@ def ghost_mirror(phi):
 
 
 def _resolve_ghost(phi, ghost):
-    if ghost is None or (isinstance(ghost, str) and ghost == "extrapolate"):
+    """The ghost ring itself, or the extrapolated ring when ``ghost`` is None."""
+    if ghost is None:
         return ghost_extrapolate(phi)
-    if isinstance(ghost, str):
-        if ghost == "mirror":
-            return ghost_mirror(phi)
-        raise ConfigurationError(f"unknown ghost policy {ghost!r}")
     return np.asarray(ghost, dtype=np.float64)
 
 
@@ -117,9 +116,7 @@ def _pole_ring(phi, grid):
 def laplacian0(phi, grid, ghost=None):
     """Second-order flat Laplacian d_rr + r^-1 d_r + r^-2 d_tt in flux form."""
     g = _resolve_ghost(phi, ghost)
-    return _kernels.flux_laplacian(
-        np.ascontiguousarray(phi), np.ascontiguousarray(g), grid.r, grid.dr, grid.dtheta
-    )
+    return _kernels.flux_laplacian(phi, g, grid.r, grid.dr, grid.dtheta)
 
 
 def d_r(phi, grid, ghost=None):
@@ -195,11 +192,6 @@ def boundary_tangential_derivative(psi, grid):
 
 # ---------------------------------------------------------------------------
 # quadrature
-
-def integrate_flat(phi, grid):
-    """Integral against the flat measure r dr dtheta (deterministic order)."""
-    return _kernels.kahan_sum((phi * grid.w_vol).ravel())
-
 
 def integrate_volume(phi, metric):
     """Integral of a scalar field against dv_g = exp(u) r dr dtheta."""

@@ -93,7 +93,7 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
         u = _cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 4 * np.cos(
             p.mode * grid.theta
         )[None, :]
-        m, _ = project_compatibility(make_metric(np.ascontiguousarray(u), grid))
+        m, _ = project_compatibility(make_metric(u, grid))
         return m
 
     m = build(p.epsilon)

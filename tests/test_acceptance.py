@@ -6,7 +6,6 @@ explicit absolute thresholds stated with it.
 """
 
 import numpy as np
-import pytest
 
 from riccidisk.cli import EXIT_OK, cmd_run
 from riccidisk.entropy import hamilton_entropy

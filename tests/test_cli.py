@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riccidisk.cli
 import riccidisk.verify
 from riccidisk.cli import (
     EXIT_CONFIG,
+    EXIT_EARLY,
     EXIT_OK,
     EXIT_VERIFY,
-    CSV_COLUMNS,
     ALL_KEYS,
     _FLOAT_KEYS,
     cmd_convergence,
@@ -18,6 +19,7 @@ from riccidisk.cli import (
     parse_config,
 )
 from riccidisk.errors import ConfigurationError, RicciDiskError
+from riccidisk.flow import FlowTrajectory, Termination
 
 _VALID = {
     "grid.n_r": 64,
@@ -110,7 +112,12 @@ def test_cmd_run_writes_trajectory(tmp_path):
     cfg = _write_config(tmp_path / "c.cfg")
     assert cmd_run(str(cfg)) == EXIT_OK
     lines = (tmp_path / "traj.csv").read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[0].split(",") == [
+        "t", "tau", "v_M", "R_bar", "min_R",
+        "E_partial", "N_partial", "R_partial", "W_partial",
+        "dE_dt_rhs", "dW_dt_rhs", "gauss_bonnet_res",
+        "kappa_min", "kappa_max", "soliton_residual_L2",
+    ]
     data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
     t = data[:, 0]
     r_bar = data[:, 3]
@@ -173,6 +180,33 @@ def test_cmd_verify_full_suite(tmp_path):
     assert cmd_verify(str(cfg)) == EXIT_OK
     report = (tmp_path / "report.jsonl").read_text().splitlines()
     assert len(report) == 12
+
+
+@pytest.mark.parametrize("cause", [Termination.POSITIVITY_LOST, Termination.STEP_LIMIT])
+def test_cmd_verify_exits_early_when_flow_terminates(tmp_path, capsys, monkeypatch, cause):
+    monkeypatch.setattr(riccidisk.cli, "run", lambda *args: FlowTrajectory(termination=cause))
+    cfg = _write_config(tmp_path / "c.cfg", **{"verify.checks": "hamilton, relation"})
+    assert cmd_verify(str(cfg)) == EXIT_EARLY
+    assert f"flow terminated early: {cause.value}" in capsys.readouterr().err
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, checks",
+    [
+        ("run", "out.trajectory_csv", "relation"),
+        ("verify", "out.report_jsonl", "relation"),
+        ("convergence", "out.trajectory_csv", "lemma_time2"),
+    ],
+)
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, key, checks):
+    out = tmp_path / "no_such_dir" / "out.txt"
+    cfg = _write_config(
+        tmp_path / "c.cfg", **{"grid.n_r": 32, key: out, "verify.checks": checks}
+    )
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and "Traceback" not in err
 
 
 def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):

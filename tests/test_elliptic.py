@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from riccidisk import elliptic
 from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
-from riccidisk.errors import CompatibilityError, DomainError
+from riccidisk.errors import CompatibilityError, DomainError, SolverError
 from riccidisk.geometry import laplace_beltrami, normal_derivative, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid, integrate_volume
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
@@ -66,7 +68,7 @@ def _mean_adjust(rho, m):
 def test_manufactured_solution_radial(hemisphere_1d):
     m = hemisphere_1d
     f_exact = _mms_field(m.grid)
-    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost="mirror"), m)
+    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost=f_exact[-1]), m)
     sol = solve_poisson_neumann(rho, m)
     f_exact = f_exact - integrate_volume(f_exact, m) / m.v_M
     assert np.max(np.abs(sol.f - f_exact)) < 2e-4
@@ -75,7 +77,7 @@ def test_manufactured_solution_radial(hemisphere_1d):
 def test_manufactured_solution_angular(hemisphere_2d):
     m = hemisphere_2d
     f_exact = _mms_field(m.grid)
-    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost="mirror"), m)
+    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost=f_exact[-1]), m)
     sol = solve_poisson_neumann(rho, m)
     f_exact = f_exact - integrate_volume(f_exact, m) / m.v_M
     assert np.max(np.abs(sol.f - f_exact)) < 5e-3
@@ -170,6 +172,35 @@ def test_preconditioned_solve_matches_plain_cg(n_r, n_theta, monkeypatch):
     f_ref = x.reshape(m.u.shape)
     f_ref = f_ref - integrate_volume(f_ref, m) / m.v_M
     assert np.max(np.abs(sol.f - f_ref)) <= 1e-10 * np.max(np.abs(f_ref))
+
+
+@pytest.mark.parametrize("n_r", [4096, 8192])
+def test_fine_radial_solve_is_accepted_on_its_backward_error(n_r):
+    # CG stops on its recursively updated residual; the verified relative
+    # residual grows like eps * cond(A) and ends above CG's rtol here, while
+    # the normwise backward error stays at rounding level
+    g = build_grid(GridSpec(n_r, 1))
+    m = spherical_cap(CapParams(0.5), g)
+    rho = _mean_adjust(np.cos(2.0 * np.pi * g.r)[:, None], m)
+    sol = solve_poisson_neumann(rho, m)
+    assert sol.linear_residual > elliptic.DEFAULT_TOL
+
+
+def test_stalled_solve_raises(monkeypatch):
+    g = build_grid(GridSpec(64, 32))
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 3), g)
+    operator = elliptic._operator
+
+    def unpreconditioned(n_r, n_theta):
+        A, _, a_norm = operator(n_r, n_theta)
+        return A, spla.aslinearoperator(sp.identity(A.shape[0])), a_norm
+
+    monkeypatch.setattr(elliptic, "_operator", unpreconditioned)
+    t0 = time.perf_counter()
+    with pytest.raises(SolverError, match="backward error"):
+        potential_f(m)
+    # a bounded number of CG iterations, not a run of 10 n of them
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

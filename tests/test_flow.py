@@ -12,7 +12,6 @@ from riccidisk.flow import (
     step,
 )
 from riccidisk.geometry import ConformalMetric, make_metric, scalar_curvature
-from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, compatibility_residual, spherical_cap
 
 

@@ -14,12 +14,18 @@ from riccidisk.geometry import (
     laplace_beltrami,
     make_metric,
     metric_grad_norm_sq,
-    metric_tensor,
     normal_derivative,
     scalar_curvature,
     tensor_norm_sq,
 )
-from riccidisk.grid import GridSpec, build_grid, ghost_extrapolate, integrate_volume
+from riccidisk.grid import (
+    GridSpec,
+    TensorField,
+    build_grid,
+    ghost_extrapolate,
+    ghost_mirror,
+    integrate_volume,
+)
 from riccidisk.initial_data import CapParams, spherical_cap
 
 
@@ -131,7 +137,9 @@ def test_metric_grad_norm_flat(flat_2d):
 
 
 def test_metric_tensor_norm_is_dimension(hemisphere_2d):
-    g_tensor = metric_tensor(hemisphere_2d)
+    e_u = np.exp(hemisphere_2d.u)
+    r2 = hemisphere_2d.grid.r[:, None] ** 2
+    g_tensor = TensorField(e_u, np.zeros_like(e_u), e_u * r2)
     norm_sq = tensor_norm_sq(g_tensor, hemisphere_2d)
     assert np.max(np.abs(norm_sq - 2.0)) < 1e-12
 
@@ -151,7 +159,7 @@ def test_boundary_laplacian_fourier_mode(flat_2d):
 
 def test_scalar_curvature_respects_stored_ghost(grid_1d):
     u = np.zeros((grid_1d.n_r, 1))
-    m_mirror = make_metric(u, grid_1d, ghost="mirror")
-    m_extrap = make_metric(u, grid_1d, ghost="extrapolate")
+    m_mirror = make_metric(u, grid_1d, ghost=ghost_mirror(u))
+    m_extrap = make_metric(u, grid_1d)
     assert np.max(np.abs(scalar_curvature(m_extrap))) < 1e-12
     assert np.max(np.abs(scalar_curvature(m_mirror))) < 1e-12
