@@ -1,10 +1,19 @@
 """Hot numeric kernels for the flow inner loop, vectorized with numpy.
 
+Every RK4 stage calls the ghost closure and then the curvature, so both
+are written to cost their arithmetic and little else: the grid-constant
+stencil coefficients come precomputed from :func:`flux_stencil` (built
+once per grid), periodic neighbours in theta come from :func:`roll_theta`
+(two slice copies; ``np.roll`` spends microseconds of Python per call
+whatever the array size), and the closure evaluates the curvature of its
+two interior rings as one block.
+
 Reductions go through ``math.fsum``, which is exactly rounded and so
 independent of summation order; results are bit-reproducible across runs.
 
 Array conventions: scalar fields are float64 arrays of shape (n_r, n_theta),
-of any strides; ghost rings and boundary fields have shape (n_theta,).
+of any strides; ghost rings and boundary fields have shape (n_theta,);
+stencil coefficients are (n_r, 1) columns.
 """
 
 import math
@@ -25,75 +34,97 @@ def kahan_sum(values):
     return math.fsum(np.ascontiguousarray(values, dtype=np.float64).tolist())
 
 
-def flux_laplacian(phi, ghost, r, dr, dtheta):
+def roll_theta(a, shift, out=None):
+    """``np.roll(a, shift, axis=-1)`` by two slice copies, into ``out`` if given."""
+    n = a.shape[-1]
+    s = shift % n
+    if out is None:
+        out = np.empty_like(a)
+    out[..., s:] = a[..., :n - s]
+    out[..., :s] = a[..., n - s:]
+    return out
+
+
+def flux_stencil(r, dr, dtheta):
+    """Grid-constant coefficients of :func:`flux_laplacian`, as (n_r, 1) columns.
+
+    Returns (r + dr/2, r - dr/2, r dr^2, r^2 dtheta^2): the outer and inner
+    face radii (the inner one zero at the pole, which closes the inner
+    edge) and the radial and angular denominators.
+    """
+    r_out = r + 0.5 * dr
+    r_in = r - 0.5 * dr
+    r_in[0] = 0.0  # no flux area at the pole
+    r_dr2 = r * dr * dr
+    r2_dtheta2 = (r**2) * dtheta * dtheta
+    return tuple(c[:, None] for c in (r_out, r_in, r_dr2, r2_dtheta2))
+
+
+def _theta_term(phi, r2_dtheta2, out=None):
+    """Angular part of the flat Laplacian, d_tt phi / r^2, on n_theta > 1."""
+    ang = roll_theta(phi, -1, out)
+    ang -= 2.0 * phi
+    ang += roll_theta(phi, 1)
+    ang /= r2_dtheta2
+    return ang
+
+
+def flux_laplacian(phi, ghost, r_out, r_in, r_dr2, r2_dtheta2):
     """Flat polar Laplacian in conservative flux form.
 
-    Zero flux area at the pole closes the inner edge; ``ghost`` supplies
-    the value ring at r = 1 + dr/2.
+    The coefficients are the columns of :func:`flux_stencil`.  Zero flux
+    area at the pole closes the inner edge; ``ghost`` supplies the value
+    ring at r = 1 + dr/2.
     """
     n_r, n_t = phi.shape
-    rp = r + 0.5 * dr
-    rm = r - 0.5 * dr
-    rm[0] = 0.0  # no flux area at the pole
-
-    up = np.empty_like(phi)
-    up[:-1] = phi[1:]
-    up[-1] = ghost
-    down = np.zeros_like(phi)
-    down[1:] = phi[:-1]
-
-    lap = (rp[:, None] * (up - phi) - rm[:, None] * (phi - down)) / (
-        r[:, None] * dr * dr
-    )
+    # jump[k] = phi[k] - phi[k - 1] across the face below ring k, with the
+    # ghost as ring n_r and zero below the pole (where r_in is zero)
+    jump = np.empty((n_r + 1, n_t))
+    jump[0] = phi[0]
+    np.subtract(phi[1:], phi[:-1], out=jump[1:n_r])
+    np.subtract(ghost, phi[-1], out=jump[n_r])
+    lap = r_out * jump[1:]
+    # jump is then scratch: with fewer live temporaries, a large grid does
+    # not hand its heap back to the OS and fault it in again on every call
+    lap -= np.multiply(r_in, jump[:-1], out=jump[:-1])
+    lap /= r_dr2
     if n_t > 1:
-        lap = lap + (np.roll(phi, -1, axis=1) - 2.0 * phi + np.roll(phi, 1, axis=1)) / (
-            (r[:, None] ** 2) * dtheta * dtheta
-        )
+        lap += _theta_term(phi, r2_dtheta2, out=jump[1:])
     return lap
 
 
-def curvature(u, ghost, r, dr, dtheta):
+def curvature(u, ghost, r_out, r_in, r_dr2, r2_dtheta2):
     """Scalar curvature R = -exp(-u) * lap0(u) of the metric exp(u) g0."""
-    return -np.exp(-u) * flux_laplacian(u, ghost, r, dr, dtheta)
+    lap = flux_laplacian(u, ghost, r_out, r_in, r_dr2, r2_dtheta2)
+    R = np.exp(-u)
+    np.negative(R, out=R)  # in place, like the temporaries of flux_laplacian
+    R *= lap
+    return R
 
 
-def _laplacian_row(phi, i, r, dr, dtheta):
-    """Flux-form Laplacian restricted to interior row i (no ghost needed).
-
-    The ghost closure needs only two rows; slicing them out of a full
-    ``flux_laplacian`` would give the same bytes at a higher cost per step.
-    """
-    n_r, n_t = phi.shape
-    rp = r[i] + 0.5 * dr
-    rm = r[i] - 0.5 * dr if i > 0 else 0.0
-    down = phi[i - 1] if i > 0 else 0.0
-    row = (rp * (phi[i + 1] - phi[i]) - rm * (phi[i] - down)) / (r[i] * dr * dr)
-    if n_t > 1:
-        row = row + (np.roll(phi[i], -1) - 2.0 * phi[i] + np.roll(phi[i], 1)) / (
-            r[i] ** 2 * dtheta * dtheta
-        )
-    return row
-
-
-def curvature_neumann_ghost(u, r, dr, dtheta):
+def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
     """Ghost ring of u enforcing the discrete curvature Neumann condition.
 
     The outward derivative of R at r=1 is extrapolated from the last three
     interior rings; only R on the outermost ring depends on the ghost, and
-    it does so linearly, so the closure is a direct per-node solve.
+    it does so linearly, so the closure is a direct per-node solve.  R on
+    rings n-3 and n-2 needs no ghost and is evaluated as one block.
     """
     n_r, n_t = u.shape
-    r_m2 = -np.exp(-u[n_r - 2]) * _laplacian_row(u, n_r - 2, r, dr, dtheta)
-    r_m3 = -np.exp(-u[n_r - 3]) * _laplacian_row(u, n_r - 3, r, dr, dtheta)
-    r_target = 1.5 * r_m2 - 0.5 * r_m3
-
-    i = n_r - 1
-    lap_target = -r_target * np.exp(u[i])
-    rm = r[i] - 0.5 * dr
-    ang = 0.0
+    rows = slice(n_r - 3, n_r - 1)
+    top = u[n_r - 4:]                # rings n-4 .. n-1
+    jump = top[1:] - top[:-1]        # across the faces below rings n-3 .. n-1
+    lap = r_out[rows] * jump[1:]
+    lap -= r_in[rows] * jump[:-1]
+    lap /= r_dr2[rows]
     if n_t > 1:
-        ang = (np.roll(u[i], -1) - 2.0 * u[i] + np.roll(u[i], 1)) / (
-            r[i] ** 2 * dtheta * dtheta
-        )
-    # rp = 1 at the r=1 cell face
-    return u[i] + r[i] * dr * dr * (lap_target - ang) + rm * (u[i] - u[i - 1])
+        ang = _theta_term(top[1:], r2_dtheta2[n_r - 3:])
+        lap += ang[:2]
+    R = -np.exp(-top[1:3]) * lap
+    r_target = 1.5 * R[1] - 0.5 * R[0]
+
+    lap_target = -r_target * np.exp(u[-1])
+    if n_t > 1:
+        lap_target -= ang[2]
+    # the outer face radius of the last ring is 1
+    return u[-1] + r_dr2[-1, 0] * lap_target + r_in[-1, 0] * jump[2]

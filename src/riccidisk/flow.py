@@ -60,7 +60,7 @@ def enforce_curvature_neumann(u, grid) -> ConformalMetric:
     Only the outermost ring of R depends on the ghost, and linearly, so the
     closure is a direct solve per boundary node; u is taken as it is.
     """
-    ghost = _kernels.curvature_neumann_ghost(u, grid.r, grid.dr, grid.dtheta)
+    ghost = _kernels.curvature_neumann_ghost(u, *grid.stencil)
     if not np.all(np.isfinite(ghost)):
         raise BoundaryClosureError("curvature ghost closure produced non-finite values")
     return ConformalMetric(u, grid, ghost)

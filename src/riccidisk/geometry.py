@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels, grid as _grid
+from ._kernels import roll_theta
 from .errors import DomainError, UsageError
 from .grid import (
     PolarGrid,
@@ -102,7 +103,7 @@ def make_metric(u, grid, ghost=None) -> ConformalMetric:
 
 def scalar_curvature(m: ConformalMetric):
     """R = -exp(-u) lap0(u), using the metric's ghost closure."""
-    return _kernels.curvature(m.u, m.u_ghost, m.grid.r, m.grid.dr, m.grid.dtheta)
+    return _kernels.curvature(m.u, m.u_ghost, *m.grid.stencil)
 
 
 def geodesic_curvature(m: ConformalMetric):
@@ -207,9 +208,9 @@ def boundary_laplacian(b, m: ConformalMetric):
         return np.zeros(1)
     u_b = boundary_value(m.u)
     a = np.exp(-0.5 * u_b)
-    a_plus = 0.5 * (a + np.roll(a, -1))
-    a_minus = np.roll(a_plus, 1)
-    flux = a_plus * (np.roll(b, -1) - b) - a_minus * (b - np.roll(b, 1))
+    a_plus = 0.5 * (a + roll_theta(a, -1))
+    a_minus = roll_theta(a_plus, 1)
+    flux = a_plus * (roll_theta(b, -1) - b) - a_minus * (b - roll_theta(b, 1))
     return a * flux / g.dtheta**2
 
 

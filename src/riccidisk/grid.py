@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import roll_theta
 from .errors import ConfigurationError
 
 # quadratic extrapolation through the last three rings, evaluated at r = 1
@@ -55,6 +56,7 @@ class PolarGrid:
     theta: np.ndarray    # (n_theta,)
     w_vol: np.ndarray    # (n_r, n_theta), flat measure r dr dtheta
     w_bdry: np.ndarray   # (n_theta,), flat arc measure at r = 1
+    stencil: tuple       # flux-Laplacian coefficients, _kernels.flux_stencil
 
     @property
     def spec(self):
@@ -75,11 +77,18 @@ def build_grid(spec: GridSpec) -> PolarGrid:
     n_r, n_t = spec.n_r, spec.n_theta
     dr = 1.0 / n_r
     dtheta = 2.0 * np.pi / n_t
-    r = (np.arange(n_r) + 0.5) * dr
-    theta = np.arange(n_t) * dtheta
-    w_vol = np.broadcast_to((r * dr * dtheta)[:, None], (n_r, n_t)).copy()
+    try:
+        r = (np.arange(n_r) + 0.5) * dr
+        theta = np.arange(n_t) * dtheta
+        w_vol = np.broadcast_to((r * dr * dtheta)[:, None], (n_r, n_t)).copy()
+    except MemoryError:
+        raise ConfigurationError(
+            f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
+            f"({n_r * n_t * 8 / 2**30:.4g} GiB per field)"
+        ) from None
     w_bdry = np.full(n_t, dtheta)
-    return PolarGrid(n_r, n_t, dr, dtheta, r, theta, w_vol, w_bdry)
+    stencil = _kernels.flux_stencil(r, dr, dtheta)
+    return PolarGrid(n_r, n_t, dr, dtheta, r, theta, w_vol, w_bdry, stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +116,7 @@ def _pole_ring(phi, grid):
     """Values of the field at radius -dr/2, i.e. across the pole."""
     if grid.n_theta == 1:
         return phi[0]
-    return np.roll(phi[0], grid.n_theta // 2)
+    return roll_theta(phi[0], grid.n_theta // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +125,7 @@ def _pole_ring(phi, grid):
 def laplacian0(phi, grid, ghost=None):
     """Second-order flat Laplacian d_rr + r^-1 d_r + r^-2 d_tt in flux form."""
     g = _resolve_ghost(phi, ghost)
-    return _kernels.flux_laplacian(phi, g, grid.r, grid.dr, grid.dtheta)
+    return _kernels.flux_laplacian(phi, g, *grid.stencil)
 
 
 def d_r(phi, grid, ghost=None):
@@ -133,7 +142,7 @@ def d_theta(phi, grid):
     """Centered periodic angular derivative (zero on the symmetric path)."""
     if grid.n_theta == 1:
         return np.zeros_like(phi)
-    return (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2.0 * grid.dtheta)
+    return (roll_theta(phi, -1) - roll_theta(phi, 1)) / (2.0 * grid.dtheta)
 
 
 def d2_r(phi, grid, ghost=None):
@@ -148,9 +157,7 @@ def d2_r(phi, grid, ghost=None):
 def d2_theta(phi, grid):
     if grid.n_theta == 1:
         return np.zeros_like(phi)
-    return (np.roll(phi, -1, axis=1) - 2.0 * phi + np.roll(phi, 1, axis=1)) / (
-        grid.dtheta**2
-    )
+    return (roll_theta(phi, -1) - 2.0 * phi + roll_theta(phi, 1)) / grid.dtheta**2
 
 
 def d_r_d_theta(phi, grid, ghost=None):
@@ -187,7 +194,7 @@ def boundary_tangential_derivative(psi, grid):
     """Centered periodic derivative of a boundary field in theta."""
     if grid.n_theta == 1:
         return np.zeros_like(psi)
-    return (np.roll(psi, -1) - np.roll(psi, 1)) / (2.0 * grid.dtheta)
+    return (roll_theta(psi, -1) - roll_theta(psi, 1)) / (2.0 * grid.dtheta)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,26 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, key, che
     assert err.startswith("error:") and str(out) in err and "Traceback" not in err
 
 
+def _overcommits_always():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() == "1"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    _overcommits_always(), reason="the OS would grant the 7.28 TiB and then run out of memory"
+)
+def test_impossible_grid_is_a_config_error(tmp_path, capsys):
+    # w_vol alone would take 7.28 TiB; the allocator refuses it at once
+    p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": 10**6, "grid.n_theta": 10**6})
+    assert main(["run", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1000000 x 1000000" in err
+    assert "Traceback" not in err
+
+
 def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):
     cfg = _write_config(tmp_path / "e.cfg", **{"verify.checks": ""})
     assert cmd_verify(str(cfg)) == EXIT_CONFIG

@@ -12,7 +12,13 @@ from riccidisk.flow import (
     step,
 )
 from riccidisk.geometry import ConformalMetric, make_metric, scalar_curvature
-from riccidisk.initial_data import CapParams, compatibility_residual, spherical_cap
+from riccidisk.initial_data import (
+    CapParams,
+    PerturbationParams,
+    compatibility_residual,
+    perturbed_cap,
+    spherical_cap,
+)
 
 
 def test_cfl_scales_with_safety(hemisphere_1d):
@@ -134,3 +140,16 @@ def test_step_builds_one_metric_per_closure(hemisphere_1d, monkeypatch):
     monkeypatch.setattr(ConformalMetric, "__post_init__", counting_post_init)
     step(FlowState(0.0, hemisphere_1d), cfl_dt(hemisphere_1d, 0.8))
     assert len(calls) == 4
+
+
+def test_step_calls_no_np_roll(grid_2d, monkeypatch):
+    # np.roll costs microseconds of Python per call whatever the array size,
+    # so the closure and curvature kernels shift along theta by slicing
+    m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called inside a time step")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    s = step(FlowState(0.0, m0), cfl_dt(m0, 0.8))
+    assert s.t > 0.0
