@@ -61,7 +61,7 @@ def enforce_curvature_neumann(u, grid) -> ConformalMetric:
     closure is a direct solve per boundary node; u is taken as it is.
     """
     ghost = _kernels.curvature_neumann_ghost(u, *grid.stencil)
-    if not np.all(np.isfinite(ghost)):
+    if not np.isfinite(ghost).all():
         raise BoundaryClosureError("curvature ghost closure produced non-finite values")
     return ConformalMetric(u, grid, ghost)
 

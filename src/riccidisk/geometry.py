@@ -58,7 +58,7 @@ class ConformalMetric:
                 f"u shape {self.u.shape} does not match grid "
                 f"({self.grid.n_r}, {self.grid.n_theta})"
             )
-        if not np.all(np.isfinite(self.u)):
+        if not np.isfinite(self.u).all():
             raise DomainError("u must be finite everywhere")
 
     @cached_property

@@ -180,7 +180,7 @@ def project_compatibility(m: ConformalMetric):
             bump = np.zeros(n_t)
             bump[j] = h
             jac[:, j] = (_smooth_residual(base_u + bump[None, :] * profile, grid) - res) / h
-        if not np.all(np.isfinite(jac)):
+        if not np.isfinite(jac).all():
             raise CompatibilityError(
                 "compatibility Jacobian is not finite", residual=res_max
             )

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +128,28 @@ def test_cmd_run_writes_trajectory(tmp_path):
     r_bar = data[:, 3]
     # hemisphere: R_bar(t) = 2 / (1 - 2t)
     assert np.max(np.abs(r_bar - 2.0 / (1.0 - 2.0 * t))) < 2e-3
+
+
+def test_cmd_run_imports_no_scipy(tmp_path):
+    # scipy serves the tests as an oracle only; a run must not load it
+    cfg = _write_config(
+        tmp_path / "c.cfg",
+        **{"grid.n_r": 16, "grid.n_theta": 8, "initial.cap_c": 0.5, "initial.eps": 0.04,
+           "initial.mode": 2, "schedule.t_end": 1e-4, "schedule.record_every": 1},
+    )
+    code = (
+        "import sys\n"
+        "from riccidisk.cli import main\n"
+        f"assert main(['run', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(riccidisk.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    assert len((tmp_path / "traj.csv").read_text().splitlines()) > 2
 
 
 def test_cmd_run_config_error_exit(tmp_path, capsys):

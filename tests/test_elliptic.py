@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccidisk import elliptic
+from riccidisk import _cg, elliptic
 from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
 from riccidisk.errors import CompatibilityError, DomainError, SolverError
 from riccidisk.geometry import laplace_beltrami, normal_derivative, scalar_curvature
@@ -129,10 +129,17 @@ def test_zero_data_short_circuits(hemisphere_1d):
     assert np.all(sol.f == 0.0)
 
 
+def _slot_csr(A):
+    """The slot table as a scipy CSR matrix; unused slots add 0.0 to the diagonal."""
+    n = A.coef.shape[1]
+    rows = np.broadcast_to(np.arange(n), A.coef.shape)
+    return sp.coo_matrix((A.coef.ravel(), (rows.ravel(), A.cols.ravel())), shape=(n, n)).tocsr()
+
+
 @pytest.mark.parametrize("n_r,n_theta", [(8, 1), (128, 1), (16, 8), (64, 32)])
 def test_matrix_matches_loop_reference(n_r, n_theta):
     g = build_grid(GridSpec(n_r, n_theta))
-    A = neumann_laplacian_matrix(g).copy()
+    A = _slot_csr(neumann_laplacian_matrix(g))
     ref = _reference_matrix(g)
     for M in (A, ref):
         M.sum_duplicates()
@@ -143,6 +150,60 @@ def test_matrix_matches_loop_reference(n_r, n_theta):
     np.testing.assert_allclose(A.data, ref.data, rtol=1e-14, atol=0.0)
 
 
+_SLOT_GRIDS = [(8, 1), (377, 1), (2048, 1), (16, 8), (40, 24), (64, 32), (128, 64)]
+
+
+def _scipy_operator(n_r, n_theta):
+    """scipy's CSR matrix of the same triplets the slot table is built from."""
+    n = n_r * n_theta
+    rows, cols, vals = elliptic._flux_triplets(build_grid(GridSpec(n_r, n_theta)))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("n_r,n_theta", _SLOT_GRIDS)
+def test_slot_matvec_is_bit_identical_to_scipy_csr(n_r, n_theta):
+    A, minus_A, _, a_norm = elliptic._operator(n_r, n_theta)
+    C = _scipy_operator(n_r, n_theta)
+    rng = np.random.default_rng(n_r * n_theta)
+    for x in (rng.standard_normal(C.shape[0]), np.exp(rng.standard_normal(C.shape[0]))):
+        assert np.array_equal(A @ x, C @ x)
+        assert np.array_equal(minus_A @ x, (-C) @ x)
+    # scipy sums the rows of |A| in another order
+    np.testing.assert_allclose(a_norm, abs(C).sum(axis=1).max(), rtol=1e-15, atol=0.0)
+
+
+def _poisson_rhs(n_r, n_theta):
+    """A CG right-hand side -b like the one of potential_f on a perturbed cap."""
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 0 if n_theta == 1 else 3), g)
+    b = (np.exp(m.u) * (m.R_bar - m.R) * g.w_vol).ravel()
+    return -(b - b.sum() / b.size)
+
+
+@pytest.mark.parametrize(
+    "n_r,n_theta,preconditioned,iterations",
+    [(64, 32, True, 1), (2048, 1, True, 2), (64, 32, False, elliptic.CG_MAXITER)],
+    ids=["one-iteration", "two-iterations", "stalled"],
+)
+def test_package_cg_replays_scipy_cg(n_r, n_theta, preconditioned, iterations):
+    _, minus_A, solve, _ = elliptic._operator(n_r, n_theta)
+    minus_b = _poisson_rhs(n_r, n_theta)
+    n = minus_b.size
+    M = solve if preconditioned else np.copy
+    kwargs = dict(rtol=elliptic.DEFAULT_TOL, atol=0.0, maxiter=elliptic.CG_MAXITER)
+
+    ours, theirs = [], []
+    x, info = _cg.cg(minus_A, minus_b, M=M, callback=lambda xk: ours.append(1), **kwargs)
+    x_ref, info_ref = spla.cg(
+        -_scipy_operator(n_r, n_theta), minus_b,
+        M=spla.LinearOperator((n, n), matvec=M, dtype=np.float64),
+        callback=lambda xk: theirs.append(1), **kwargs,
+    )
+    assert np.array_equal(x, x_ref)
+    assert info == info_ref == (0 if preconditioned else elliptic.CG_MAXITER)
+    assert len(ours) == len(theirs) == iterations
+
+
 @pytest.mark.parametrize("n_r,n_theta", [(128, 1), (64, 32), (128, 64)])
 def test_preconditioned_solve_matches_plain_cg(n_r, n_theta, monkeypatch):
     g = build_grid(GridSpec(n_r, n_theta))
@@ -151,7 +212,7 @@ def test_preconditioned_solve_matches_plain_cg(n_r, n_theta, monkeypatch):
     rho = integrate_volume(R, m) / m.v_M - R
 
     iterations = []
-    cg = spla.cg
+    cg = elliptic.spla.cg
 
     def counting_cg(*args, **kwargs):
         kwargs["callback"] = lambda xk: iterations.append(1)
@@ -163,8 +224,9 @@ def test_preconditioned_solve_matches_plain_cg(n_r, n_theta, monkeypatch):
     assert len(iterations) == 1
     assert sol.linear_residual <= 1e-12
 
-    # the unpreconditioned solve, to a tighter tolerance, is the oracle
-    A = neumann_laplacian_matrix(g)
+    # scipy's unpreconditioned solve of the loop-built matrix, to a tighter
+    # tolerance, is the oracle
+    A = _reference_matrix(g)
     b = (np.exp(m.u) * rho * g.w_vol).ravel()
     b = b - b.sum() / b.size
     x, info = spla.cg(-A, -b, rtol=1e-13, atol=0.0, maxiter=10 * b.size)
@@ -192,8 +254,8 @@ def test_stalled_solve_raises(monkeypatch):
     operator = elliptic._operator
 
     def unpreconditioned(n_r, n_theta):
-        A, _, a_norm = operator(n_r, n_theta)
-        return A, spla.aslinearoperator(sp.identity(A.shape[0])), a_norm
+        A, minus_A, _, a_norm = operator(n_r, n_theta)
+        return A, minus_A, np.copy, a_norm
 
     monkeypatch.setattr(elliptic, "_operator", unpreconditioned)
     t0 = time.perf_counter()
