@@ -9,22 +9,19 @@ the package needs no scipy for its one CG solve.
 import numpy as np
 
 
-def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M, callback=None):
+def cg(A, b, *, rtol, maxiter, M, callback=None):
     """Solve A x = b for symmetric positive definite A, starting from x = 0.
 
-    ``A @ p`` applies the operator and ``M(r)`` the preconditioner.  Stops
-    when ``||r|| < max(atol, rtol * ||b||)`` for the recursively updated
-    residual r, returning ``(x, 0)``, or after ``maxiter`` iterations
-    (default 10 n), returning ``(x, maxiter)``.  ``callback(x)`` is called
-    after every iteration.
+    ``A(p)`` applies the operator and ``M(r)`` the preconditioner.  Stops
+    when ``||r|| < rtol * ||b||`` for the recursively updated residual r,
+    returning ``(x, 0)``, or after ``maxiter`` iterations, returning
+    ``(x, maxiter)``.  ``callback(x)`` is called after every iteration.
     """
     b_norm = np.linalg.norm(b)
-    atol = max(float(atol), float(rtol) * float(b_norm))
+    atol = float(rtol) * float(b_norm)
     x = np.zeros_like(b)
     if b_norm == 0:
         return x, 0
-    if maxiter is None:
-        maxiter = 10 * len(b)
 
     r = b.copy()
     rho_prev, p = None, None
@@ -38,7 +35,7 @@ def cg(A, b, *, rtol=1e-5, atol=0.0, maxiter=None, M, callback=None):
             p += z
         else:
             p = z.copy()
-        q = A @ p
+        q = A(p)
         alpha = rho_cur / np.dot(p, q)
         x += alpha * p
         r -= alpha * q

@@ -6,12 +6,12 @@ closure at r = 1.  The volume-weighted flat operator is symmetric negative
 semidefinite with constant kernel, so the system is solved by conjugate
 gradient after projecting the kernel out of the right-hand side.
 
-The operator has at most five entries per row and is kept as a slot table
-(``SlotMatrix``) whose matvec rounds exactly as scipy's CSR matvec does;
-CG is the package's own loop (``_cg.cg``), a replay of scipy's, so the
-package needs numpy only.  The operator's coefficients depend on r only
-and it is periodic in theta, so a DFT in theta splits it exactly into one
-tridiagonal system in r per angular mode (the pole-free FFT/tridiagonal
+The operator is applied by the flow's own flux-Laplacian kernel
+(``grid.laplacian0`` with a mirrored ghost ring, times the volume weights),
+so the package has one implementation of it; CG is the package's own loop
+(``_cg.cg``), a replay of scipy's.  The operator's coefficients depend on r
+only and it is periodic in theta, so a DFT in theta splits it exactly into
+one tridiagonal system in r per angular mode (the pole-free FFT/tridiagonal
 scheme of M.-C. Lai, Numer. Methods PDE 17, 2001).  Solving those systems
 is an exact preconditioner: CG converges in one or two iterations, and the
 solution is accepted on its verified normwise backward error.
@@ -28,7 +28,7 @@ from . import _cg as spla
 from ._kernels import kahan_sum
 from .errors import CompatibilityError, DomainError, SolverError
 from .geometry import ConformalMetric
-from .grid import GridSpec, PolarGrid, build_grid, integrate_volume
+from .grid import GridSpec, PolarGrid, build_grid, ghost_mirror, integrate_volume, laplacian0
 
 COMPAT_TOL = 1.0e-8
 # CG's rtol; the accepted solution is judged by BACKWARD_TOL instead
@@ -56,72 +56,9 @@ def _flux_coefficients(grid: PolarGrid):
     return c, a
 
 
-def _flux_triplets(grid: PolarGrid):
-    """COO triplets (rows, cols, vals) of the flat operator, duplicates kept.
-
-    Each flux between nodes p and q with coefficient w adds -w to A[p, p]
-    and A[q, q] and w to A[p, q] and A[q, p].
-    """
-    c, a = _flux_coefficients(grid)
-    n_r, n_theta = grid.n_r, grid.n_theta
-    node = np.arange(n_r * n_theta).reshape(n_r, n_theta)
-    p, q, w = node[:-1].ravel(), node[1:].ravel(), np.repeat(c, n_theta)
-    if n_theta > 1:
-        p = np.concatenate([p, node.ravel()])
-        q = np.concatenate([q, np.roll(node, -1, axis=1).ravel()])
-        w = np.concatenate([w, np.repeat(a, n_theta)])
-    return (
-        np.concatenate([p, p, q, q]),
-        np.concatenate([p, q, q, p]),
-        np.concatenate([-w, w, -w, w]),
-    )
-
-
-@dataclass(frozen=True)
-class SlotMatrix:
-    """Square sparse matrix with a few entries per row, as a slot table.
-
-    Row i of ``A @ x`` is ``sum_k coef[k, i] * x[cols[k, i]]``, summed in
-    slot order from 0.0, with each row's entries in increasing column order
-    and unused slots holding 0.0 against column i.  Those are the roundings
-    of a CSR matvec over sorted indices.
-    """
-
-    coef: np.ndarray  # (n_slots, n)
-    cols: np.ndarray  # (n_slots, n)
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, n: int) -> "SlotMatrix":
-        """Sum duplicate (row, col) entries in input order into slots."""
-        order = np.lexsort((cols, rows))  # stable: ties keep input order
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        # unbuffered, so duplicates add left to right as a CSR duplicate sum does
-        total = np.zeros(np.count_nonzero(first))
-        np.add.at(total, np.cumsum(first) - 1, vals)
-
-        rows, cols = rows[first], cols[first]
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-        coef = np.zeros((int(slot.max()) + 1, n))
-        table = np.tile(np.arange(n), (coef.shape[0], 1))
-        coef[slot, rows] = total
-        table[slot, rows] = cols
-        return cls(coef, table)
-
-    def __matmul__(self, x):
-        y = self.coef[0] * x[self.cols[0]] + 0.0
-        for c, j in zip(self.coef[1:], self.cols[1:]):
-            y += c * x[j]
-        return y
-
-    def __neg__(self) -> "SlotMatrix":
-        return SlotMatrix(-self.coef, self.cols)
-
-
 @lru_cache(maxsize=8)
 def _operator(n_r: int, n_theta: int):
-    """A, -A, the exact preconditioner and ||A||_inf of the flat operator.
+    """The exact preconditioner and ||A||_inf of the flat operator A.
 
     The angular part is a periodic second difference on each ring, whose
     DFT mode k has eigenvalue -lam_k a_i with lam_k = 4 sin^2(pi k /
@@ -130,10 +67,13 @@ def _operator(n_r: int, n_theta: int):
     -c_{i+1/2}.  Mode 0 carries the constant kernel: its last ring is
     pinned to 0 and its equation dropped, which leaves the grounded,
     nonsingular leading block; the preconditioner then removes the mean.
+
+    Row i of A has the off-diagonal entries c_{i-1/2}, c_{i+1/2} (and a_i
+    twice in 2-D) and their negated sum on the diagonal, so its absolute
+    row sum is 2 (c_{i-1/2} + c_{i+1/2} + 2 a_i [n_theta > 1]).
     """
     grid = build_grid(GridSpec(n_r, n_theta))
     c, a = _flux_coefficients(grid)
-    A = SlotMatrix.from_triplets(*_flux_triplets(grid), n_r * n_theta)
 
     # Thomas factorization of every mode at once, shape (n_r, n_modes)
     s = np.zeros(n_r)  # c_{i-1/2} + c_{i+1/2}
@@ -163,19 +103,27 @@ def _operator(n_r: int, n_theta: int):
         z = np.fft.irfft(y, n=n_theta, axis=1).ravel()
         return z - z.mean()
 
-    a_norm = float(np.abs(A.coef).sum(axis=0).max())
-    return A, -A, solve, a_norm
+    ring = 2.0 * a if n_theta > 1 else 0.0
+    a_norm = float(2.0 * np.max(s + ring))
+    return solve, a_norm
 
 
-def neumann_laplacian_matrix(grid: PolarGrid) -> SlotMatrix:
+def neumann_laplacian_matrix(grid: PolarGrid):
     """Volume-weighted flat Laplacian with zero-flux closures (symmetric).
 
-    A slot table of at most 5 entries per row whose matvec rounds as a CSR
-    matvec does.  Built once per grid size from the flux coefficients and
-    kept, with -A, the preconditioner and ||A||_inf, in a small cache keyed
-    on (n_r, n_theta); callers must not modify it.
+    Returns the operator as a function of a flat vector x: the flux
+    Laplacian ``laplacian0`` of x on the grid, with the mirrored ghost ring
+    of the zero-flux closure at r = 1, times the volume weights.
     """
-    return _operator(grid.n_r, grid.n_theta)[0]
+    shape = (grid.n_r, grid.n_theta)
+
+    def apply(x):
+        X = x.reshape(shape)
+        lap = laplacian0(X, grid, ghost_mirror(X))
+        lap *= grid.w_vol
+        return lap.ravel()
+
+    return apply
 
 
 @dataclass
@@ -213,11 +161,12 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
     if b_norm == 0.0:
         return NeumannSolution(np.zeros_like(m.u), compat, 0.0)
 
-    _, minus_A, solve, a_norm = _operator(grid.n_r, grid.n_theta)
+    solve, a_norm = _operator(grid.n_r, grid.n_theta)
+
     # CG's convergence flag comes from its recursively updated residual, so
     # the solution is judged by its verified backward error alone
-    x, _ = spla.cg(minus_A, -b, rtol=DEFAULT_TOL, atol=0.0, maxiter=CG_MAXITER, M=solve)
-    res = A @ x - b
+    x, _ = spla.cg(lambda p: -A(p), -b, rtol=DEFAULT_TOL, maxiter=CG_MAXITER, M=solve)
+    res = A(x) - b
     lin_res = float(np.linalg.norm(res)) / b_norm
     eta = float(np.max(np.abs(res))) / (
         a_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))

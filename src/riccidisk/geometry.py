@@ -24,7 +24,6 @@ from .grid import (
     d2_r,
     d2_theta,
     d_r,
-    d_r_d_theta,
     d_theta,
     integrate_boundary,
     integrate_volume,
@@ -137,7 +136,7 @@ def hessian(f, m: ConformalMetric, ghost=None) -> TensorField:
     f_t = d_theta(f, g)
     f_rr = d2_r(f, g, ghost)
     f_tt = d2_theta(f, g)
-    f_rt = d_r_d_theta(f, g, ghost)
+    f_rt = d_theta(f_r, g)
     h_rr = f_rr - 0.5 * u_r * f_r + 0.5 * u_t * f_t / r**2
     h_rt = f_rt - 0.5 * u_t * f_r - (1.0 / r + 0.5 * u_r) * f_t
     h_tt = f_tt + (r + 0.5 * r**2 * u_r) * f_r - 0.5 * u_t * f_t
@@ -192,8 +191,8 @@ def boundary_gradient_inner(a_b, b_b, m: ConformalMetric):
     """<grad_dM a, grad_dM b> for boundary traces, metric exp(u) dtheta^2."""
     g = m.grid
     u_b = boundary_value(m.u)
-    da = _grid.boundary_tangential_derivative(a_b, g)
-    db = _grid.boundary_tangential_derivative(b_b, g)
+    da = d_theta(a_b, g)
+    db = d_theta(b_b, g)
     return np.exp(-u_b) * (da * db)
 
 

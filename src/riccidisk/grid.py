@@ -81,7 +81,7 @@ def build_grid(spec: GridSpec) -> PolarGrid:
         r = (np.arange(n_r) + 0.5) * dr
         theta = np.arange(n_t) * dtheta
         w_vol = np.broadcast_to((r * dr * dtheta)[:, None], (n_r, n_t)).copy()
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limits
         raise ConfigurationError(
             f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
             f"({n_r * n_t * 8 / 2**30:.4g} GiB per field)"
@@ -139,7 +139,10 @@ def d_r(phi, grid, ghost=None):
 
 
 def d_theta(phi, grid):
-    """Centered periodic angular derivative (zero on the symmetric path)."""
+    """Centered periodic angular derivative (zero on the symmetric path).
+
+    Acts on the last axis, so it also differentiates a boundary field.
+    """
     if grid.n_theta == 1:
         return np.zeros_like(phi)
     return (roll_theta(phi, -1) - roll_theta(phi, 1)) / (2.0 * grid.dtheta)
@@ -158,11 +161,6 @@ def d2_theta(phi, grid):
     if grid.n_theta == 1:
         return np.zeros_like(phi)
     return (roll_theta(phi, -1) - 2.0 * phi + roll_theta(phi, 1)) / grid.dtheta**2
-
-
-def d_r_d_theta(phi, grid, ghost=None):
-    """Mixed second derivative: angular derivative of the radial derivative."""
-    return d_theta(d_r(phi, grid, ghost), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +186,6 @@ def radial_derivative_at_boundary_interior(phi, grid):
     to first order; on smooth data this variant stays second order.
     """
     return (3.0 * phi[-2] - 5.0 * phi[-3] + 2.0 * phi[-4]) / grid.dr
-
-
-def boundary_tangential_derivative(psi, grid):
-    """Centered periodic derivative of a boundary field in theta."""
-    if grid.n_theta == 1:
-        return np.zeros_like(psi)
-    return (roll_theta(psi, -1) - roll_theta(psi, 1)) / (2.0 * grid.dtheta)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,16 @@ def test_impossible_grid_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_r", [10**20, 2**63])
+def test_grid_beyond_numpy_limits_is_a_config_error(tmp_path, capsys, n_r):
+    # numpy refuses these sizes before allocating anything
+    p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": n_r})
+    assert main(["run", str(p)]) == EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{n_r} x 1" in err
+    assert "Traceback" not in err
+
+
 def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):
     cfg = _write_config(tmp_path / "e.cfg", **{"verify.checks": ""})
     assert cmd_verify(str(cfg)) == EXIT_CONFIG

@@ -11,7 +11,7 @@ from riccidisk import _cg, elliptic
 from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
 from riccidisk.errors import CompatibilityError, DomainError, SolverError
 from riccidisk.geometry import laplace_beltrami, normal_derivative, scalar_curvature
-from riccidisk.grid import GridSpec, build_grid, integrate_volume
+from riccidisk.grid import GridSpec, build_grid, ghost_mirror, integrate_volume, laplacian0
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 
@@ -129,47 +129,44 @@ def test_zero_data_short_circuits(hemisphere_1d):
     assert np.all(sol.f == 0.0)
 
 
-def _slot_csr(A):
-    """The slot table as a scipy CSR matrix; unused slots add 0.0 to the diagonal."""
-    n = A.coef.shape[1]
-    rows = np.broadcast_to(np.arange(n), A.coef.shape)
-    return sp.coo_matrix((A.coef.ravel(), (rows.ravel(), A.cols.ravel())), shape=(n, n)).tocsr()
+def _dense_operator(A, n):
+    """The operator as a dense matrix, one column per unit vector."""
+    D = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        D[:, j] = A(e)
+        e[j] = 0.0
+    return D
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(8, 1), (128, 1), (16, 8), (64, 32)])
 def test_matrix_matches_loop_reference(n_r, n_theta):
     g = build_grid(GridSpec(n_r, n_theta))
-    A = _slot_csr(neumann_laplacian_matrix(g))
+    A = sp.csr_matrix(_dense_operator(neumann_laplacian_matrix(g), n_r * n_theta))
     ref = _reference_matrix(g)
-    for M in (A, ref):
-        M.sum_duplicates()
-        M.sort_indices()
+    ref.sum_duplicates()
+    ref.sort_indices()
     assert np.array_equal(A.indptr, ref.indptr)
     assert np.array_equal(A.indices, ref.indices)
-    # sums of flux coefficients may round in a different order
+    # the stencil and the sums of flux coefficients round differently
     np.testing.assert_allclose(A.data, ref.data, rtol=1e-14, atol=0.0)
+    _, a_norm = elliptic._operator(n_r, n_theta)
+    np.testing.assert_allclose(a_norm, abs(ref).sum(axis=1).max(), rtol=1e-15, atol=0.0)
 
 
-_SLOT_GRIDS = [(8, 1), (377, 1), (2048, 1), (16, 8), (40, 24), (64, 32), (128, 64)]
+@pytest.mark.parametrize("n_r,n_theta", [(8, 1), (377, 1), (16, 8), (40, 24)])
+def test_operator_is_the_flux_laplacian_kernel(n_r, n_theta):
+    g = build_grid(GridSpec(n_r, n_theta))
+    x = np.random.default_rng(n_r * n_theta).standard_normal(n_r * n_theta)
+    X = x.reshape(n_r, n_theta)
+    expected = (laplacian0(X, g, ghost_mirror(X)) * g.w_vol).ravel()
+    assert np.array_equal(neumann_laplacian_matrix(g)(x), expected)
 
 
-def _scipy_operator(n_r, n_theta):
-    """scipy's CSR matrix of the same triplets the slot table is built from."""
-    n = n_r * n_theta
-    rows, cols, vals = elliptic._flux_triplets(build_grid(GridSpec(n_r, n_theta)))
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-@pytest.mark.parametrize("n_r,n_theta", _SLOT_GRIDS)
-def test_slot_matvec_is_bit_identical_to_scipy_csr(n_r, n_theta):
-    A, minus_A, _, a_norm = elliptic._operator(n_r, n_theta)
-    C = _scipy_operator(n_r, n_theta)
-    rng = np.random.default_rng(n_r * n_theta)
-    for x in (rng.standard_normal(C.shape[0]), np.exp(rng.standard_normal(C.shape[0]))):
-        assert np.array_equal(A @ x, C @ x)
-        assert np.array_equal(minus_A @ x, (-C) @ x)
-    # scipy sums the rows of |A| in another order
-    np.testing.assert_allclose(a_norm, abs(C).sum(axis=1).max(), rtol=1e-15, atol=0.0)
+def _minus_operator(n_r, n_theta):
+    A = neumann_laplacian_matrix(build_grid(GridSpec(n_r, n_theta)))
+    return lambda p: -A(p)
 
 
 def _poisson_rhs(n_r, n_theta):
@@ -186,17 +183,20 @@ def _poisson_rhs(n_r, n_theta):
     ids=["one-iteration", "two-iterations", "stalled"],
 )
 def test_package_cg_replays_scipy_cg(n_r, n_theta, preconditioned, iterations):
-    _, minus_A, solve, _ = elliptic._operator(n_r, n_theta)
+    solve, _ = elliptic._operator(n_r, n_theta)
+    minus_A = _minus_operator(n_r, n_theta)
     minus_b = _poisson_rhs(n_r, n_theta)
     n = minus_b.size
     M = solve if preconditioned else np.copy
-    kwargs = dict(rtol=elliptic.DEFAULT_TOL, atol=0.0, maxiter=elliptic.CG_MAXITER)
+    kwargs = dict(rtol=elliptic.DEFAULT_TOL, maxiter=elliptic.CG_MAXITER)
+
+    def operator(f):
+        return spla.LinearOperator((n, n), matvec=f, dtype=np.float64)
 
     ours, theirs = [], []
     x, info = _cg.cg(minus_A, minus_b, M=M, callback=lambda xk: ours.append(1), **kwargs)
     x_ref, info_ref = spla.cg(
-        -_scipy_operator(n_r, n_theta), minus_b,
-        M=spla.LinearOperator((n, n), matvec=M, dtype=np.float64),
+        operator(minus_A), minus_b, M=operator(M), atol=0.0,
         callback=lambda xk: theirs.append(1), **kwargs,
     )
     assert np.array_equal(x, x_ref)
@@ -254,8 +254,8 @@ def test_stalled_solve_raises(monkeypatch):
     operator = elliptic._operator
 
     def unpreconditioned(n_r, n_theta):
-        A, minus_A, _, a_norm = operator(n_r, n_theta)
-        return A, minus_A, np.copy, a_norm
+        _, a_norm = operator(n_r, n_theta)
+        return np.copy, a_norm
 
     monkeypatch.setattr(elliptic, "_operator", unpreconditioned)
     t0 = time.perf_counter()

@@ -5,7 +5,6 @@ from riccidisk._kernels import kahan_sum
 from riccidisk.errors import ConfigurationError
 from riccidisk.grid import (
     GridSpec,
-    boundary_tangential_derivative,
     boundary_value,
     build_grid,
     d_r,
@@ -108,5 +107,12 @@ def test_ghost_policies():
 
 
 def test_boundary_tangential_derivative_1d_is_zero():
+    # d_theta differentiates a boundary field (n_theta,) along its only axis
     g = build_grid(GridSpec(32, 1))
-    assert boundary_tangential_derivative(np.array([3.0]), g)[0] == 0.0
+    assert d_theta(np.array([3.0]), g)[0] == 0.0
+
+
+def test_d_theta_of_boundary_field_is_its_ring_of_the_field_derivative():
+    g = build_grid(GridSpec(16, 8))
+    phi = np.sin(g.theta)[None, :] * g.r[:, None] + g.r[:, None] ** 2
+    assert np.array_equal(d_theta(phi[-1], g), d_theta(phi, g)[-1])
