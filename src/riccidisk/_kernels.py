@@ -60,12 +60,15 @@ def flux_stencil(r, dr, dtheta):
     return tuple(c[:, None] for c in (r_out, r_in, r_dr2, r2_dtheta2))
 
 
-def _theta_term(phi, r2_dtheta2, out=None):
-    """Angular part of the flat Laplacian, d_tt phi / r^2, on n_theta > 1."""
+def theta_term(phi, denom, out=None):
+    """Periodic second difference in theta over ``denom``, on n_theta > 1.
+
+    ``denom`` is r^2 dtheta^2 in the flat Laplacian and dtheta^2 in d_tt.
+    """
     ang = roll_theta(phi, -1, out)
     ang -= 2.0 * phi
     ang += roll_theta(phi, 1)
-    ang /= r2_dtheta2
+    ang /= denom
     return ang
 
 
@@ -89,7 +92,7 @@ def flux_laplacian(phi, ghost, r_out, r_in, r_dr2, r2_dtheta2):
     lap -= np.multiply(r_in, jump[:-1], out=jump[:-1])
     lap /= r_dr2
     if n_t > 1:
-        lap += _theta_term(phi, r2_dtheta2, out=jump[1:])
+        lap += theta_term(phi, r2_dtheta2, out=jump[1:])
     return lap
 
 
@@ -118,7 +121,7 @@ def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
     lap -= r_in[rows] * jump[:-1]
     lap /= r_dr2[rows]
     if n_t > 1:
-        ang = _theta_term(top[1:], r2_dtheta2[n_r - 3:])
+        ang = theta_term(top[1:], r2_dtheta2[n_r - 3:])
         lap += ang[:2]
     R = -np.exp(-top[1:3]) * lap
     r_target = 1.5 * R[1] - 0.5 * R[0]

@@ -218,7 +218,10 @@ def main(argv=None) -> int:
     for name in ("run", "verify", "convergence"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a key = value config file")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 is EXIT_EARLY
+        raise SystemExit(EXIT_CONFIG if exc.code else EXIT_OK) from None
     handler = {"run": cmd_run, "verify": cmd_verify, "convergence": cmd_convergence}
     return handler[args.command](args.config)
 

@@ -141,7 +141,9 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
 
     if not np.isfinite(rho).all():
         raise DomainError("Poisson data rho is not finite")
-    compat = abs(integrate_volume(rho, m))
+    b = (rho * np.exp(m.u) * grid.w_vol).ravel()
+    total = kahan_sum(b)  # int rho dv_g
+    compat = abs(total)
     scale = float(np.max(np.abs(rho))) if rho.size else 0.0
     if scale == 0.0:
         return NeumannSolution(np.zeros_like(m.u), compat, 0.0)
@@ -153,9 +155,8 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
         )
 
     A = neumann_laplacian_matrix(grid)
-    b = (np.exp(m.u) * rho * grid.w_vol).ravel()
     # project the constant null vector out of the data (quadrature defect)
-    b = b - kahan_sum(b) / n
+    b = b - total / n
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:

@@ -32,8 +32,7 @@ from .geometry import (
     gauss_bonnet_residual,
     grad_diff_norm_sq,
     metric_grad_norm_sq,
-    shifted_hessian,
-    tensor_norm_sq,
+    shifted_hessian_norm_sq,
 )
 from .grid import boundary_value, ghost_mirror, integrate_boundary, integrate_volume
 
@@ -79,8 +78,8 @@ def w_functional(m: ConformalMetric, tau: float) -> float:
 
 def _soliton_norm_sq(m: ConformalMetric, f) -> float:
     """int |R g/2 + Hess f - Rbar g/2|^2 dv, with the zero-flux closure of f."""
-    T = shifted_hessian(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost_mirror(f))
-    return integrate_volume(tensor_norm_sq(T, m), m)
+    norm_sq = shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost_mirror(f))
+    return integrate_volume(norm_sq, m)
 
 
 def dE_dt_rhs(m: ConformalMetric, f) -> float:
@@ -108,8 +107,8 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
     tau = _tau(tau)
-    T = shifted_hessian(m.log_R, m, 0.5 * m.R - 0.5 / tau)
-    interior = 2.0 * tau * integrate_volume(m.R * tensor_norm_sq(T, m), m)
+    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau)
+    interior = 2.0 * tau * integrate_volume(m.R * norm_sq, m)
     R_b = boundary_value(m.R)
     log_R_b = boundary_value(m.log_R)
     grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)

@@ -74,7 +74,7 @@ def rhs(m: ConformalMetric):
 def cfl_dt(m: ConformalMetric, safety: float) -> float:
     """Explicit stability bound dt = safety * min(e^u) * min(dr, r_min dth)^2 / 4."""
     g = m.grid
-    h = g.dr if g.n_theta == 1 else min(g.dr, g.r[0] * g.dtheta)
+    h = min(g.dr, g.r[0] * g.dtheta)
     return safety * float(np.exp(m.u).min()) * h * h / 4.0
 
 

@@ -19,7 +19,6 @@ from ._kernels import roll_theta
 from .errors import DomainError, UsageError
 from .grid import (
     PolarGrid,
-    TensorField,
     boundary_value,
     d2_r,
     d2_theta,
@@ -118,8 +117,8 @@ def geodesic_curvature(m: ConformalMetric):
     return np.exp(-0.5 * u_b) * (1.0 + 0.5 * du)
 
 
-def hessian(f, m: ConformalMetric, ghost=None) -> TensorField:
-    """Covariant Hessian of f in polar coordinates.
+def hessian(f, m: ConformalMetric, ghost=None):
+    """Covariant Hessian of f in polar coordinates, as (H_rr, H_rt, H_tt).
 
     Components are dd_ij f - Gamma^k_ij d_k f with the Christoffel symbols
     of exp(u) g0 written out explicitly:
@@ -140,18 +139,22 @@ def hessian(f, m: ConformalMetric, ghost=None) -> TensorField:
     h_rr = f_rr - 0.5 * u_r * f_r + 0.5 * u_t * f_t / r**2
     h_rt = f_rt - 0.5 * u_t * f_r - (1.0 / r + 0.5 * u_r) * f_t
     h_tt = f_tt + (r + 0.5 * r**2 * u_r) * f_r - 0.5 * u_t * f_t
-    return TensorField(h_rr, h_rt, h_tt)
+    return h_rr, h_rt, h_tt
 
 
-def shifted_hessian(f, m: ConformalMetric, c, ghost=None) -> TensorField:
-    """Hess f + c g for a scalar or pointwise field c.
+def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None):
+    """|T|^2_g = exp(-2u)(T_rr^2 + 2 T_rt^2 / r^2 + T_tt^2 / r^4) of T = Hess f + c g.
 
-    This is the tensor of every soliton-type term: c = (R - Rbar)/2 for the
-    Hamilton entropy, R/2 - 1/(2 tau) for W, and R/2 for d^2 N/dt^2.
+    c is a scalar or a pointwise field.  This is the norm of every
+    soliton-type term: c = (R - Rbar)/2 for the Hamilton entropy,
+    R/2 - 1/(2 tau) for W, R/2 for d^2 N/dt^2 and 0 for the Reilly formula.
     """
-    h = hessian(f, m, ghost=ghost)
+    h_rr, h_rt, h_tt = hessian(f, m, ghost=ghost)
+    r2 = m.grid.r[:, None] ** 2
     cg = c * np.exp(m.u)
-    return TensorField(h.rr + cg, h.rt, h.tt + cg * m.grid.r[:, None] ** 2)
+    h_rr += cg
+    h_tt += cg * r2
+    return np.exp(-2.0 * m.u) * (h_rr**2 + 2.0 * h_rt**2 / r2 + h_tt**2 / r2**2)
 
 
 def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None):
@@ -168,12 +171,6 @@ def grad_diff_norm_sq(a, b, m: ConformalMetric, ghost_a=None):
     dr_ = d_r(a, g, ghost_a) - d_r(b, g)
     dt_ = d_theta(a, g) - d_theta(b, g)
     return np.exp(-m.u) * (dr_**2 + dt_**2 / g.r[:, None] ** 2)
-
-
-def tensor_norm_sq(T: TensorField, m: ConformalMetric):
-    """|T|^2_g = exp(-2u)(T_rr^2 + 2 T_rt^2 / r^2 + T_tt^2 / r^4)."""
-    r2 = m.grid.r[:, None] ** 2
-    return np.exp(-2.0 * m.u) * (T.rr**2 + 2.0 * T.rt**2 / r2 + T.tt**2 / r2**2)
 
 
 def laplace_beltrami(f, m: ConformalMetric, ghost=None):
@@ -200,11 +197,9 @@ def boundary_laplacian(b, m: ConformalMetric):
     """Laplace-Beltrami of a boundary trace on the circle r = 1.
 
     Flux form of exp(-u/2) d_theta (exp(-u/2) d_theta b) with face-averaged
-    coefficients; identically zero on the axisymmetric fast path.
+    coefficients; identically zero on one angle.
     """
     g = m.grid
-    if g.n_theta == 1:
-        return np.zeros(1)
     u_b = boundary_value(m.u)
     a = np.exp(-0.5 * u_b)
     a_plus = 0.5 * (a + roll_theta(a, -1))

@@ -63,28 +63,20 @@ class PolarGrid:
         return GridSpec(self.n_r, self.n_theta)
 
 
-@dataclass
-class TensorField:
-    """Symmetric covariant 2-tensor in polar coordinates (rr, rtheta, thetatheta)."""
-
-    rr: np.ndarray
-    rt: np.ndarray
-    tt: np.ndarray
-
-
 def build_grid(spec: GridSpec) -> PolarGrid:
     spec.validate()
     n_r, n_t = spec.n_r, spec.n_theta
-    dr = 1.0 / n_r
-    dtheta = 2.0 * np.pi / n_t
     try:
+        dr = 1.0 / n_r
+        dtheta = 2.0 * np.pi / n_t
         r = (np.arange(n_r) + 0.5) * dr
         theta = np.arange(n_t) * dtheta
         w_vol = np.broadcast_to((r * dr * dtheta)[:, None], (n_r, n_t)).copy()
-    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limits
+    # ValueError: beyond numpy's size limits; OverflowError: beyond a float
+    except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(
             f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
-            f"({n_r * n_t * 8 / 2**30:.4g} GiB per field)"
+            f"({n_r * n_t * 8:,} bytes per field)"
         ) from None
     w_bdry = np.full(n_t, dtheta)
     stencil = _kernels.flux_stencil(r, dr, dtheta)
@@ -160,7 +152,7 @@ def d2_r(phi, grid, ghost=None):
 def d2_theta(phi, grid):
     if grid.n_theta == 1:
         return np.zeros_like(phi)
-    return (roll_theta(phi, -1) - 2.0 * phi + roll_theta(phi, 1)) / grid.dtheta**2
+    return _kernels.theta_term(phi, grid.dtheta**2)
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,8 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
     """
     base.validate()
     p.validate()
-    if p.mode > 0 and grid.n_theta == 1:
-        raise UsageError("angular modes m > 0 need the full 2-d grid (n_theta > 1)")
+    if p.mode > grid.n_theta // 2:
+        raise UsageError(f"angular mode {p.mode} is above n_theta // 2 = {grid.n_theta // 2}")
 
     def build(eps):
         r = grid.r[:, None]

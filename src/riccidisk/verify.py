@@ -25,14 +25,12 @@ from .geometry import (
     ConformalMetric,
     boundary_gradient_inner,
     boundary_laplacian,
-    hessian,
     laplace_beltrami,
     make_metric,
     metric_grad_norm_sq,
     normal_derivative,
     scalar_curvature,
-    shifted_hessian,
-    tensor_norm_sq,
+    shifted_hessian_norm_sq,
 )
 from .grid import (
     GridSpec,
@@ -191,7 +189,7 @@ def check_reilly(m: ConformalMetric, f) -> IdentityReport:
     lap_f = laplace_beltrami(f, m)
     R = m.R
     grad_sq = metric_grad_norm_sq(f, m)
-    hess_sq = tensor_norm_sq(hessian(f, m), m)
+    hess_sq = shifted_hessian_norm_sq(f, m, 0.0)
     lhs = integrate_volume(lap_f**2 - 0.5 * R * grad_sq - hess_sq, m)
     f_b = boundary_value(f)
     f_nu = normal_derivative(f, m)
@@ -365,9 +363,9 @@ def check_second_derivative_N(traj) -> IdentityReport:
     """
     lhs, k, dt, grid = _ddt(traj, "N_partial", fd=_fd2)
     m = traj.snapshots[k].metric
-    T = shifted_hessian(m.log_R, m, 0.5 * m.R)
+    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R)
     db = boundary_value(m.log_R)
-    rhs = 2.0 * integrate_volume(m.R * tensor_norm_sq(T, m), m) + 2.0 * integrate_boundary(
+    rhs = 2.0 * integrate_volume(m.R * norm_sq, m) + 2.0 * integrate_boundary(
         m.kappa * boundary_value(m.R) * boundary_gradient_inner(db, db, m), m
     )
     extra_ok = _within(_ddt(traj, "N_partial")[0], _dN_dt_by_parts(m), grid, dt)

@@ -256,14 +256,32 @@ def test_impossible_grid_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n_r", [10**20, 2**63])
-def test_grid_beyond_numpy_limits_is_a_config_error(tmp_path, capsys, n_r):
-    # numpy refuses these sizes before allocating anything
-    p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": n_r})
+@pytest.mark.parametrize(
+    "n_r, n_theta",
+    [
+        pytest.param(10**20, 1, id=str(10**20)),
+        pytest.param(2**63, 1, id=str(2**63)),
+        # 1 / n beyond a float
+        pytest.param(10**400, 1, id="n_r=10**400"),
+        pytest.param(64, 10**400, id="n_theta=10**400"),
+    ],
+)
+def test_grid_beyond_numpy_limits_is_a_config_error(tmp_path, capsys, n_r, n_theta):
+    # these sizes fail before anything is allocated
+    p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": n_r, "grid.n_theta": n_theta})
     assert main(["run", str(p)]) == EXIT_CONFIG == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"{n_r} x 1" in err
+    assert err.startswith("error:") and f"{n_r} x {n_theta}" in err
     assert "Traceback" not in err
+
+
+def test_unresolved_angular_mode_is_a_config_error(tmp_path, capsys):
+    p = _write_config(
+        tmp_path / "c.cfg", **{"grid.n_r": 32, "grid.n_theta": 16, "initial.mode": 10**400}
+    )
+    assert main(["run", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):
@@ -319,3 +337,18 @@ def test_main_dispatch(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_OK
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus", "c.cfg"], ["run"]])
+def test_malformed_command_line_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == EXIT_OK
+    assert "usage:" in capsys.readouterr().out

@@ -289,3 +289,8 @@ def test_random_compatible_data_is_solved(n_r, n_theta, c, seed):
     sol = solve_poisson_neumann(rho, m)
     assert abs(integrate_volume(sol.f, m)) / m.v_M <= 1e-12 * max(1.0, np.max(np.abs(sol.f)))
     assert sol.linear_residual <= 1e-11
+
+
+def test_compat_residual_is_the_exact_integral_of_the_data(grid_2d):
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 2), grid_2d)
+    assert potential_f(m).compat_residual == abs(integrate_volume(m.R_bar - m.R, m))

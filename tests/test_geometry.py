@@ -16,11 +16,10 @@ from riccidisk.geometry import (
     metric_grad_norm_sq,
     normal_derivative,
     scalar_curvature,
-    tensor_norm_sq,
+    shifted_hessian_norm_sq,
 )
 from riccidisk.grid import (
     GridSpec,
-    TensorField,
     build_grid,
     ghost_extrapolate,
     ghost_mirror,
@@ -111,9 +110,9 @@ def test_metric_quantities_match_the_functions(grid_2d):
 def test_hessian_trace_is_laplacian(hemisphere_2d):
     g = hemisphere_2d.grid
     f = (g.r**2)[:, None] * np.cos(2.0 * g.theta)[None, :]
-    h = hessian(f, hemisphere_2d)
+    h_rr, _, h_tt = hessian(f, hemisphere_2d)
     e_u = np.exp(hemisphere_2d.u)
-    trace = (h.rr + h.tt / g.r[:, None] ** 2) / e_u
+    trace = (h_rr + h_tt / g.r[:, None] ** 2) / e_u
     lap = laplace_beltrami(f, hemisphere_2d)
     assert np.max(np.abs(trace - lap)) < 1e-10
 
@@ -121,12 +120,12 @@ def test_hessian_trace_is_laplacian(hemisphere_2d):
 def test_flat_hessian_of_linear_function_vanishes(flat_2d):
     g = flat_2d.grid
     f = g.r[:, None] * np.cos(g.theta)[None, :]
-    h = hessian(f, flat_2d)
-    assert np.max(np.abs(h.rr)) < 1e-9
+    h_rr, h_rt, h_tt = hessian(f, flat_2d)
+    assert np.max(np.abs(h_rr)) < 1e-9
     interior = slice(1, -1)
-    assert np.max(np.abs(h.rt[interior])) < 1e-9
+    assert np.max(np.abs(h_rt[interior])) < 1e-9
     # tt picks up the centered-difference truncation of cos(theta)
-    assert np.max(np.abs(h.tt[interior])) < 5e-3
+    assert np.max(np.abs(h_tt[interior])) < 5e-3
 
 
 def test_metric_grad_norm_flat(flat_2d):
@@ -137,11 +136,35 @@ def test_metric_grad_norm_flat(flat_2d):
 
 
 def test_metric_tensor_norm_is_dimension(hemisphere_2d):
-    e_u = np.exp(hemisphere_2d.u)
-    r2 = hemisphere_2d.grid.r[:, None] ** 2
-    g_tensor = TensorField(e_u, np.zeros_like(e_u), e_u * r2)
-    norm_sq = tensor_norm_sq(g_tensor, hemisphere_2d)
+    # Hess 0 + 1 g = g, whose squared norm is the dimension
+    norm_sq = shifted_hessian_norm_sq(np.zeros_like(hemisphere_2d.u), hemisphere_2d, 1.0)
     assert np.max(np.abs(norm_sq - 2.0)) < 1e-12
+
+
+def _shifted_hessian_norm_sq_reference(f, m, c, ghost=None):
+    """Hess f + c g built as three new arrays, then squared in the metric."""
+    h_rr, h_rt, h_tt = hessian(f, m, ghost=ghost)
+    cg = c * np.exp(m.u)
+    r2 = m.grid.r[:, None] ** 2
+    t_rr, t_rt, t_tt = h_rr + cg, h_rt, h_tt + cg * r2
+    return np.exp(-2.0 * m.u) * (t_rr**2 + 2.0 * t_rt**2 / r2 + t_tt**2 / r2**2)
+
+
+@pytest.mark.parametrize("n_theta", [1, 16])
+@pytest.mark.parametrize("pointwise_c", [False, True])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_shifted_hessian_norm_matches_reference(n_theta, pointwise_c, mirrored):
+    g = build_grid(GridSpec(24, n_theta))
+    rng = np.random.default_rng(7)
+    bump = (1.0 - g.r[:, None] ** 2) * (1.0 + 0.2 * np.cos(2.0 * g.theta)[None, :])
+    m = make_metric(0.3 * bump + 0.01 * rng.standard_normal(bump.shape), g)
+    f = g.r[:, None] ** 2 * np.sin(g.theta + 0.3)[None, :] + 0.1 * rng.standard_normal(bump.shape)
+    c = 0.5 * (m.R - m.R_bar) if pointwise_c else -0.75
+    ghost = ghost_mirror(f) if mirrored else None
+    assert np.array_equal(
+        shifted_hessian_norm_sq(f, m, c, ghost=ghost),
+        _shifted_hessian_norm_sq_reference(f, m, c, ghost=ghost),
+    )
 
 
 def test_normal_derivative_flat(flat_2d):

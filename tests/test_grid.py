@@ -7,6 +7,7 @@ from riccidisk.grid import (
     GridSpec,
     boundary_value,
     build_grid,
+    d2_theta,
     d_r,
     d_theta,
     ghost_extrapolate,
@@ -116,3 +117,12 @@ def test_d_theta_of_boundary_field_is_its_ring_of_the_field_derivative():
     g = build_grid(GridSpec(16, 8))
     phi = np.sin(g.theta)[None, :] * g.r[:, None] + g.r[:, None] ** 2
     assert np.array_equal(d_theta(phi[-1], g), d_theta(phi, g)[-1])
+
+
+def test_d2_theta_is_the_periodic_second_difference():
+    g = build_grid(GridSpec(16, 24))
+    phi = np.random.default_rng(3).standard_normal((16, 24))
+    rolled = np.roll(phi, -1, axis=-1) - 2.0 * phi + np.roll(phi, 1, axis=-1)
+    assert np.array_equal(d2_theta(phi, g), rolled / g.dtheta**2)
+    g1 = build_grid(GridSpec(16, 1))
+    assert np.array_equal(d2_theta(phi[:, :1], g1), np.zeros((16, 1)))

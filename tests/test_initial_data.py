@@ -60,6 +60,14 @@ def test_angular_mode_needs_2d_grid(grid_1d):
         perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_1d)
 
 
+def test_angular_mode_above_half_n_theta_is_rejected(grid_2d):
+    # mode n_theta // 2 + 1 aliases onto mode n_theta // 2 - 1 on the grid
+    half = grid_2d.n_theta // 2
+    perturbed_cap(CapParams(0.7), PerturbationParams(0.03, half), grid_2d)
+    with pytest.raises(UsageError, match="above n_theta // 2"):
+        perturbed_cap(CapParams(0.7), PerturbationParams(0.03, half + 1), grid_2d)
+
+
 def test_perturbed_cap_is_compatible(grid_2d):
     m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
     assert compatibility_residual(m) < 1e-8
