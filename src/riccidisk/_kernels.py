@@ -8,8 +8,10 @@ once per grid), periodic neighbours in theta come from :func:`roll_theta`
 whatever the array size), and the closure evaluates the curvature of its
 two interior rings as one block.
 
-Reductions go through ``math.fsum``, which is exactly rounded and so
-independent of summation order; results are bit-reproducible across runs.
+Reductions are exactly rounded (:func:`kahan_sum`), so they do not depend
+on summation order and results are bit-reproducible across runs.  A large
+array is summed exactly in numpy, per binary exponent, and rounded once;
+``math.fsum`` handles the small and the exceptional arrays.
 
 Array conventions: scalar fields are float64 arrays of shape (n_r, n_theta),
 of any strides; ghost rings and boundary fields have shape (n_theta,);
@@ -24,14 +26,59 @@ import numpy as np
 USING_NUMBA = False
 
 
+# below this many terms math.fsum is the faster exact sum
+_FSUM_BELOW = 1000
+# bincount adds the 26-bit halves of the significands exactly while the
+# partial sums stay below 2^53, that is for fewer than 2^26 terms
+_BUCKET_MAX_TERMS = 2**26
+# m + _SPLIT - _SPLIT rounds a significand m in (-1, 1) to a multiple of 2^-26
+_SPLIT = 1.5 * 2.0**26
+
+
 def kahan_sum(values):
-    """Exactly rounded sum of a 1-d float64 array (``math.fsum``).
+    """Exactly rounded sum of a 1-d float64 array, bit-identical to ``math.fsum``.
 
     Exact rounding is at least as strong as compensated summation and does
-    not depend on the order of the terms.  ``fsum`` iterates a Python list
-    faster than an array of numpy scalars, and the rounding is the same.
+    not depend on the order of the terms.  Each term is m 2^e with a 53-bit
+    significand m (``np.frexp``); the two 26-bit halves of m are summed
+    exactly per exponent e with ``np.bincount``, the buckets are combined
+    into one Python integer, and that integer is rounded once by the
+    correctly rounded ``int / int``.  No Python list of the terms is built.
+
+    ``math.fsum`` itself sums the arrays where it is faster (fewer than
+    ``_FSUM_BELOW`` terms) and those where its result is not simply the
+    rounded exact sum: NaN or infinite terms (NaN, inf, or ``ValueError``
+    on inf + -inf), terms so large that ``n 2^max(e) >= 2^1023`` (fsum may
+    raise ``OverflowError`` on them although the exact sum is finite) and an
+    exact sum of zero (fsum decides its sign).
     """
-    return math.fsum(np.ascontiguousarray(values, dtype=np.float64).tolist())
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    n = x.size
+    if n < _FSUM_BELOW or n >= _BUCKET_MAX_TERMS:
+        return math.fsum(x.tolist())
+    mant, exp = np.frexp(x)
+    e_min, e_max = int(exp.min()), int(exp.max())
+    # |sum| <= n 2^e_max < 2^(e_max + bit_length(n)) <= 2^1023 < DBL_MAX
+    if e_max + n.bit_length() > 1023:
+        return math.fsum(x.tolist())
+    hi = mant + _SPLIT
+    hi -= _SPLIT
+    bucket = np.subtract(exp, e_min, dtype=np.intp)
+    # bucket sums, as integer multiples of 2^(e_min + bucket - 53)
+    hi_sum = np.bincount(bucket, weights=hi)
+    if not np.isfinite(hi_sum).all():  # a NaN or infinite term
+        return math.fsum(x.tolist())
+    hi_sum *= 2.0**53
+    mant -= hi
+    lo_sum = np.bincount(bucket, weights=mant)
+    lo_sum *= 2.0**53
+    total = 0
+    for h, lo in zip(reversed(hi_sum.tolist()), reversed(lo_sum.tolist())):
+        total = (total << 1) + int(h) + int(lo)
+    if not total:
+        return math.fsum(x.tolist())
+    shift = e_min - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def roll_theta(a, shift, out=None):

@@ -141,7 +141,9 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
 
     if not np.isfinite(rho).all():
         raise DomainError("Poisson data rho is not finite")
-    b = (rho * np.exp(m.u) * grid.w_vol).ravel()
+    b = rho * m.exp_u
+    b *= grid.w_vol
+    b = b.ravel()
     total = kahan_sum(b)  # int rho dv_g
     compat = abs(total)
     scale = float(np.max(np.abs(rho))) if rho.size else 0.0
@@ -156,7 +158,7 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
 
     A = neumann_laplacian_matrix(grid)
     # project the constant null vector out of the data (quadrature defect)
-    b = b - total / n
+    b -= total / n
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -167,7 +169,8 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
     # CG's convergence flag comes from its recursively updated residual, so
     # the solution is judged by its verified backward error alone
     x, _ = spla.cg(lambda p: -A(p), -b, rtol=DEFAULT_TOL, maxiter=CG_MAXITER, M=solve)
-    res = A(x) - b
+    res = A(x)
+    res -= b
     lin_res = float(np.linalg.norm(res)) / b_norm
     eta = float(np.max(np.abs(res))) / (
         a_norm * float(np.max(np.abs(x))) + float(np.max(np.abs(b)))
@@ -179,7 +182,7 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
         )
 
     f = x.reshape(m.u.shape)
-    f = f - integrate_volume(f, m) / v_m
+    f -= integrate_volume(f, m) / v_m
     return NeumannSolution(f, compat, lin_res)
 
 

@@ -13,15 +13,22 @@ W and dW/dt depend on time only through tau = T - t, so the Guo-type
 functionals take tau itself, which must be positive.
 
 Every functional takes a :class:`~riccidisk.geometry.ConformalMetric` and
-reads R, log R, v(M), int R dv, Rbar, kappa and int kappa ds from it; the
-metric evaluates each once, so a record built by :func:`make_record` costs
-one curvature evaluation however many functionals it holds.  ``m.log_R``
-is the single positivity check: a metric with min R <= 0 (or NaN) raises
-``DomainError`` from every functional that takes log R.
+reads R, log R, v(M), int R dv, Rbar, kappa and int kappa ds, the factors
+exp(u), exp(-u) and exp(-2u) and the first derivatives of u and log R from
+it; the metric evaluates each once, so a record built by
+:func:`make_record` costs one curvature evaluation, one exponential of
+each kind and one differentiation of u and of log R however many
+functionals it holds.  The record also differentiates the potential f
+once and integrates the soliton norm once (:func:`_potential_terms`), for
+both dE/dt and the soliton residual.  ``m.log_R`` is the single positivity
+check: a metric with min R <= 0 (or NaN) raises ``DomainError`` from every
+functional that takes log R.
 """
 
 from dataclasses import dataclass
 from math import log, pi, sqrt
+
+import numpy as np
 
 from .elliptic import potential_f
 from .errors import DomainError
@@ -34,7 +41,13 @@ from .geometry import (
     metric_grad_norm_sq,
     shifted_hessian_norm_sq,
 )
-from .grid import boundary_value, ghost_mirror, integrate_boundary, integrate_volume
+from .grid import (
+    boundary_value,
+    ghost_mirror,
+    gradient0,
+    integrate_boundary,
+    integrate_volume,
+)
 
 
 @dataclass
@@ -71,18 +84,29 @@ def hamilton_entropy(m: ConformalMetric) -> float:
 
 def w_functional(m: ConformalMetric, tau: float) -> float:
     tau = _tau(tau)
-    grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
-    integrand = (tau * (m.R - grad_log_r_sq) - m.log_R - log(tau)) * m.R
+    # (tau (R - |grad log R|^2) - log R - log tau) R, in place
+    integrand = metric_grad_norm_sq(m.log_R, m, grad=m.dlog_R)
+    np.subtract(m.R, integrand, out=integrand)
+    integrand *= tau
+    integrand -= m.log_R
+    integrand -= log(tau)
+    integrand *= m.R
     return integrate_volume(integrand, m) - 2.0 * log(tau) * m.int_kappa
 
 
-def _soliton_norm_sq(m: ConformalMetric, f) -> float:
-    """int |R g/2 + Hess f - Rbar g/2|^2 dv, with the zero-flux closure of f."""
-    norm_sq = shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost_mirror(f))
-    return integrate_volume(norm_sq, m)
+def _potential_terms(m: ConformalMetric, f) -> tuple:
+    """(d_r f, d_theta f) and int |R g/2 + Hess f - Rbar g/2|^2 dv.
+
+    Both use the zero-flux closure of f; dE/dt reads both and the soliton
+    residual the norm, so a record evaluates them once for the two.
+    """
+    ghost = ghost_mirror(f)
+    grad = gradient0(f, m.grid, ghost)
+    norm_sq = shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost, grad=grad)
+    return grad, integrate_volume(norm_sq, m)
 
 
-def dE_dt_rhs(m: ConformalMetric, f) -> float:
+def dE_dt_rhs(m: ConformalMetric, f, terms=None) -> float:
     """Right-hand side of the Hamilton-type monotonicity formula.
 
     -int (R |grad f - grad log R|^2 + 2 |R g/2 + Hess f - Rbar g/2|^2) dv
@@ -90,11 +114,13 @@ def dE_dt_rhs(m: ConformalMetric, f) -> float:
 
     ``f`` is the Neumann potential from the elliptic module; its zero-flux
     ghost closure matches the boundary condition it was solved under.
+    ``terms`` is ``_potential_terms(m, f)`` when the caller has it.
     """
-    term1 = integrate_volume(
-        m.R * grad_diff_norm_sq(f, m.log_R, m, ghost_a=ghost_mirror(f)), m
-    )
-    term2 = 2.0 * _soliton_norm_sq(m, f)
+    grad_f, soliton_sq = _potential_terms(m, f) if terms is None else terms
+    integrand = grad_diff_norm_sq(grad_f, m.dlog_R, m)
+    integrand *= m.R
+    term1 = integrate_volume(integrand, m)
+    term2 = 2.0 * soliton_sq
     f_b = boundary_value(f)
     term3 = 2.0 * integrate_boundary(m.kappa * boundary_gradient_inner(f_b, f_b, m), m)
     return -(term1 + term2) - term3
@@ -107,8 +133,9 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
     tau = _tau(tau)
-    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau)
-    interior = 2.0 * tau * integrate_volume(m.R * norm_sq, m)
+    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau, grad=m.dlog_R)
+    norm_sq *= m.R
+    interior = 2.0 * tau * integrate_volume(norm_sq, m)
     R_b = boundary_value(m.R)
     log_R_b = boundary_value(m.log_R)
     grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)
@@ -118,8 +145,10 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
 
 def dN_dt(m: ConformalMetric) -> float:
     """dN/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv."""
-    grad_log_r_sq = metric_grad_norm_sq(m.log_R, m)
-    return integrate_volume((m.R - grad_log_r_sq) * m.R, m)
+    integrand = metric_grad_norm_sq(m.log_R, m, grad=m.dlog_R)
+    np.subtract(m.R, integrand, out=integrand)
+    integrand *= m.R
+    return integrate_volume(integrand, m)
 
 
 def dE_dt_analytic(m: ConformalMetric) -> float:
@@ -127,9 +156,13 @@ def dE_dt_analytic(m: ConformalMetric) -> float:
     return dN_dt(m) - m.v_M * m.R_bar**2
 
 
-def soliton_residual_L2(m: ConformalMetric, f) -> float:
-    """L2(dv) norm of R g/2 + Hess f - Rbar g/2 (vanishes on shrinking solitons)."""
-    return sqrt(max(_soliton_norm_sq(m, f), 0.0))
+def soliton_residual_L2(m: ConformalMetric, f, terms=None) -> float:
+    """L2(dv) norm of R g/2 + Hess f - Rbar g/2 (vanishes on shrinking solitons).
+
+    ``terms`` is ``_potential_terms(m, f)`` when the caller has it.
+    """
+    _, norm_sq = _potential_terms(m, f) if terms is None else terms
+    return sqrt(max(norm_sq, 0.0))
 
 
 def relation_residual(m: ConformalMetric, tau: float, dE_dt: float) -> tuple:
@@ -194,7 +227,8 @@ def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord
     tau = w_horizon - t
     n_partial = integrate_volume(m.R * m.log_R, m)
     r_partial = log(m.R_bar) * m.int_R
-    sol = potential_f(m)
+    f = potential_f(m).f
+    terms = _potential_terms(m, f)
     return EntropyRecord(
         t=t,
         tau=tau,
@@ -205,10 +239,10 @@ def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord
         N_partial=n_partial,
         R_partial=r_partial,
         W_partial=w_functional(m, tau),
-        dE_dt_rhs=dE_dt_rhs(m, sol.f),
+        dE_dt_rhs=dE_dt_rhs(m, f, terms),
         dW_dt_rhs=dW_dt_rhs(m, tau),
         gauss_bonnet_res=gauss_bonnet_residual(m),
         kappa_min=float(m.kappa.min()),
         kappa_max=float(m.kappa.max()),
-        soliton_residual_L2=soliton_residual_L2(m, sol.f),
+        soliton_residual_L2=soliton_residual_L2(m, f, terms),
     )

@@ -22,8 +22,8 @@ from .grid import (
     boundary_value,
     d2_r,
     d2_theta,
-    d_r,
     d_theta,
+    gradient0,
     integrate_boundary,
     integrate_volume,
     radial_derivative_at_boundary,
@@ -40,10 +40,13 @@ class ConformalMetric:
     initial-data and flow modules carry the curvature-Neumann ghost, while
     ad-hoc metrics default to smooth extrapolation of u.
 
-    The curvature quantities every diagnostic reads (R, log R, v(M),
-    int R dv, Rbar, kappa, int kappa ds) are evaluated on first use and
-    kept on the metric.  The arrays u and u_ghost must not be modified in
-    place once the metric exists.
+    What every diagnostic reads is evaluated on first use and kept on the
+    metric: the curvature quantities R, log R, v(M), int R dv, Rbar, kappa
+    and int kappa ds; the conformal factors exp(u), exp(-u) and exp(-2u);
+    and the flat first derivatives (d_r, d_theta) of u (with its ghost
+    ring) and of log R (extrapolated ghost).  The factors and derivatives
+    are read-only.  The arrays u and u_ghost must not be modified in place
+    once the metric exists.
     """
 
     u: np.ndarray
@@ -73,6 +76,28 @@ class ConformalMetric:
         return np.log(self.R)
 
     @cached_property
+    def exp_u(self) -> np.ndarray:
+        return _read_only(np.exp(self.u))
+
+    @cached_property
+    def exp_neg_u(self) -> np.ndarray:
+        return _read_only(np.exp(-self.u))
+
+    @cached_property
+    def exp_neg_2u(self) -> np.ndarray:
+        return _read_only(np.exp(-2.0 * self.u))
+
+    @cached_property
+    def du(self) -> tuple:
+        """(d_r u, d_theta u), with the metric's ghost ring."""
+        return tuple(map(_read_only, gradient0(self.u, self.grid, self.u_ghost)))
+
+    @cached_property
+    def dlog_R(self) -> tuple:
+        """(d_r log R, d_theta log R), with the extrapolated ghost ring."""
+        return tuple(map(_read_only, gradient0(self.log_R, self.grid)))
+
+    @cached_property
     def v_M(self) -> float:
         return integrate_volume(np.ones_like(self.u), self)
 
@@ -91,6 +116,11 @@ class ConformalMetric:
     @cached_property
     def int_kappa(self) -> float:
         return integrate_boundary(self.kappa, self)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def make_metric(u, grid, ghost=None) -> ConformalMetric:
@@ -117,7 +147,7 @@ def geodesic_curvature(m: ConformalMetric):
     return np.exp(-0.5 * u_b) * (1.0 + 0.5 * du)
 
 
-def hessian(f, m: ConformalMetric, ghost=None):
+def hessian(f, m: ConformalMetric, ghost=None, grad=None):
     """Covariant Hessian of f in polar coordinates, as (H_rr, H_rt, H_tt).
 
     Components are dd_ij f - Gamma^k_ij d_k f with the Christoffel symbols
@@ -126,56 +156,100 @@ def hessian(f, m: ConformalMetric, ghost=None):
         H_rr = f_rr - u_r f_r / 2 + u_t f_t / (2 r^2)
         H_rt = f_rt - u_t f_r / 2 - (1/r + u_r / 2) f_t
         H_tt = f_tt + (r + r^2 u_r / 2) f_r - u_t f_t / 2
+
+    ``grad`` is ``gradient0(f, m.grid, ghost)`` when the caller has it.
+    Each product is formed in place in the order of these formulas, so the
+    components are bit-identical to evaluating the expressions as written.
     """
     g = m.grid
     r = g.r[:, None]
-    u_r = d_r(m.u, g, m.u_ghost)
-    u_t = d_theta(m.u, g)
-    f_r = d_r(f, g, ghost)
-    f_t = d_theta(f, g)
-    f_rr = d2_r(f, g, ghost)
-    f_tt = d2_theta(f, g)
-    f_rt = d_theta(f_r, g)
-    h_rr = f_rr - 0.5 * u_r * f_r + 0.5 * u_t * f_t / r**2
-    h_rt = f_rt - 0.5 * u_t * f_r - (1.0 / r + 0.5 * u_r) * f_t
-    h_tt = f_tt + (r + 0.5 * r**2 * u_r) * f_r - 0.5 * u_t * f_t
+    u_r, u_t = m.du
+    f_r, f_t = gradient0(f, g, ghost) if grad is None else grad
+    h_rr = d2_r(f, g, ghost)
+    h_rt = d_theta(f_r, g)
+    h_tt = d2_theta(f, g)
+    half_ut_ft = np.multiply(0.5, u_t)  # u_t f_t / 2, in H_rr and H_tt
+    half_ut_ft *= f_t
+    t = np.multiply(0.5, u_r)
+    t *= f_r
+    h_rr -= t
+
+    np.multiply(0.5, u_t, out=t)
+    t *= f_r
+    h_rt -= t
+    np.multiply(0.5, u_r, out=t)
+    t += 1.0 / r
+    t *= f_t
+    h_rt -= t
+
+    np.multiply(0.5 * r**2, u_r, out=t)
+    t += r
+    t *= f_r
+    h_tt += t
+    h_tt -= half_ut_ft
+
+    half_ut_ft /= r**2
+    h_rr += half_ut_ft
     return h_rr, h_rt, h_tt
 
 
-def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None):
+def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None, grad=None):
     """|T|^2_g = exp(-2u)(T_rr^2 + 2 T_rt^2 / r^2 + T_tt^2 / r^4) of T = Hess f + c g.
 
     c is a scalar or a pointwise field.  This is the norm of every
     soliton-type term: c = (R - Rbar)/2 for the Hamilton entropy,
     R/2 - 1/(2 tau) for W, R/2 for d^2 N/dt^2 and 0 for the Reilly formula.
+    ``grad`` is as in :func:`hessian`.
     """
-    h_rr, h_rt, h_tt = hessian(f, m, ghost=ghost)
+    t_rr, t_rt, t_tt = hessian(f, m, ghost=ghost, grad=grad)
     r2 = m.grid.r[:, None] ** 2
-    cg = c * np.exp(m.u)
-    h_rr += cg
-    h_tt += cg * r2
-    return np.exp(-2.0 * m.u) * (h_rr**2 + 2.0 * h_rt**2 / r2 + h_tt**2 / r2**2)
+    cg = c * m.exp_u
+    t_rr += cg
+    cg *= r2
+    t_tt += cg
+    t_rr *= t_rr
+    t_rt *= t_rt
+    t_rt *= 2.0
+    t_rt /= r2
+    t_rr += t_rt
+    t_tt *= t_tt
+    t_tt /= r2**2
+    t_rr += t_tt
+    t_rr *= m.exp_neg_2u
+    return t_rr
 
 
-def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None):
-    """|grad f|^2_g = exp(-u)(f_r^2 + f_t^2 / r^2), pointwise nonnegative."""
-    g = m.grid
-    f_r = d_r(f, g, ghost)
-    f_t = d_theta(f, g)
-    return np.exp(-m.u) * (f_r**2 + f_t**2 / g.r[:, None] ** 2)
+def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None, grad=None):
+    """|grad f|^2_g = exp(-u)(f_r^2 + f_t^2 / r^2), pointwise nonnegative.
+
+    ``grad`` is as in :func:`hessian`.
+    """
+    f_r, f_t = gradient0(f, m.grid, ghost) if grad is None else grad
+    return _flat_norm_sq(f_r, f_t, m)
 
 
-def grad_diff_norm_sq(a, b, m: ConformalMetric, ghost_a=None):
-    """|grad a - grad b|^2_g, used for the |grad f - grad log R|^2 integrand."""
-    g = m.grid
-    dr_ = d_r(a, g, ghost_a) - d_r(b, g)
-    dt_ = d_theta(a, g) - d_theta(b, g)
-    return np.exp(-m.u) * (dr_**2 + dt_**2 / g.r[:, None] ** 2)
+def grad_diff_norm_sq(grad_a, grad_b, m: ConformalMetric):
+    """|grad a - grad b|^2_g from the flat derivative pairs of a and b.
+
+    Used for the |grad f - grad log R|^2 integrand.
+    """
+    return _flat_norm_sq(grad_a[0] - grad_b[0], grad_a[1] - grad_b[1], m)
+
+
+def _flat_norm_sq(v_r, v_t, m: ConformalMetric):
+    """exp(-u)(v_r^2 + v_t^2 / r^2) of flat coordinate components."""
+    out = v_t**2
+    out /= m.grid.r[:, None] ** 2
+    out += v_r**2
+    out *= m.exp_neg_u
+    return out
 
 
 def laplace_beltrami(f, m: ConformalMetric, ghost=None):
     """lap_g f = exp(-u) lap0 f."""
-    return np.exp(-m.u) * _grid.laplacian0(f, m.grid, ghost)
+    lap = _grid.laplacian0(f, m.grid, ghost)
+    lap *= m.exp_neg_u
+    return lap
 
 
 def normal_derivative(field, m: ConformalMetric):

@@ -120,13 +120,19 @@ def laplacian0(phi, grid, ghost=None):
     return _kernels.flux_laplacian(phi, g, *grid.stencil)
 
 
+def gradient0(phi, grid, ghost=None):
+    """The flat coordinate derivatives (d_r phi, d_theta phi)."""
+    return d_r(phi, grid, ghost), d_theta(phi, grid)
+
+
 def d_r(phi, grid, ghost=None):
     """Centered radial derivative; crosses the pole on the innermost ring."""
     g = _resolve_ghost(phi, ghost)
     out = np.empty_like(phi)
-    out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * grid.dr)
-    out[0] = (phi[1] - _pole_ring(phi, grid)) / (2.0 * grid.dr)
-    out[-1] = (g - phi[-2]) / (2.0 * grid.dr)
+    np.subtract(phi[2:], phi[:-2], out=out[1:-1])
+    np.subtract(phi[1], _pole_ring(phi, grid), out=out[0])
+    np.subtract(g, phi[-2], out=out[-1])
+    out /= 2.0 * grid.dr
     return out
 
 
@@ -137,15 +143,25 @@ def d_theta(phi, grid):
     """
     if grid.n_theta == 1:
         return np.zeros_like(phi)
-    return (roll_theta(phi, -1) - roll_theta(phi, 1)) / (2.0 * grid.dtheta)
+    out = np.empty_like(phi)
+    np.subtract(phi[..., 2:], phi[..., :-2], out=out[..., 1:-1])
+    np.subtract(phi[..., 1], phi[..., -1], out=out[..., 0])
+    np.subtract(phi[..., 0], phi[..., -2], out=out[..., -1])
+    out /= 2.0 * grid.dtheta
+    return out
 
 
 def d2_r(phi, grid, ghost=None):
+    """Centered second radial difference, (up - 2 phi + down) / dr^2."""
     g = _resolve_ghost(phi, ghost)
-    out = np.empty_like(phi)
-    out[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / grid.dr**2
-    out[0] = (phi[1] - 2.0 * phi[0] + _pole_ring(phi, grid)) / grid.dr**2
-    out[-1] = (g - 2.0 * phi[-1] + phi[-2]) / grid.dr**2
+    out = np.multiply(phi, -2.0)
+    out[1:-1] += phi[2:]
+    out[1:-1] += phi[:-2]
+    out[0] += phi[1]
+    out[0] += _pole_ring(phi, grid)
+    out[-1] += g
+    out[-1] += phi[-2]
+    out /= grid.dr**2
     return out
 
 
@@ -185,8 +201,9 @@ def radial_derivative_at_boundary_interior(phi, grid):
 
 def integrate_volume(phi, metric):
     """Integral of a scalar field against dv_g = exp(u) r dr dtheta."""
-    grid = metric.grid
-    return _kernels.kahan_sum((phi * np.exp(metric.u) * grid.w_vol).ravel())
+    weighted = phi * metric.exp_u
+    weighted *= metric.grid.w_vol
+    return _kernels.kahan_sum(weighted.ravel())
 
 
 def integrate_boundary(psi, metric):

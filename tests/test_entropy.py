@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from math import log, pi
+from math import log, pi, sqrt
 
 from riccidisk import _kernels
 from riccidisk.elliptic import potential_f
@@ -17,8 +17,25 @@ from riccidisk.entropy import (
 )
 from riccidisk.errors import DomainError
 from riccidisk.flow import FlowSchedule, run
-from riccidisk.geometry import ConformalMetric, gauss_bonnet_residual, make_metric
-from riccidisk.grid import GridSpec, build_grid
+from riccidisk.geometry import (
+    ConformalMetric,
+    boundary_gradient_inner,
+    gauss_bonnet_residual,
+    grad_diff_norm_sq,
+    make_metric,
+    metric_grad_norm_sq,
+    shifted_hessian_norm_sq,
+)
+from riccidisk.grid import (
+    GridSpec,
+    boundary_value,
+    build_grid,
+    d_r,
+    d_theta,
+    ghost_mirror,
+    integrate_boundary,
+    integrate_volume,
+)
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 
@@ -81,21 +98,70 @@ def test_record_partials_are_consistent(grid_1d):
     assert rec.kappa_min <= rec.kappa_max
 
 
-@pytest.mark.parametrize("grid_name, mode", [("grid_1d", 0), ("grid_2d", 2)])
-def test_record_matches_standalone_functions(request, grid_name, mode):
-    m = perturbed_cap(
-        CapParams(0.5), PerturbationParams(0.05, mode), request.getfixturevalue(grid_name)
+def _reference_rates(m, f, tau):
+    """W, dE/dt, dW/dt and the soliton residual as the formulas read.
+
+    Every term is built from the geometry primitives on its own, with fresh
+    derivatives of f and log R and nothing shared between the functionals.
+    """
+    g = m.grid
+    log_r = np.log(m.R)
+    ghost = ghost_mirror(f)
+    grad_f = (d_r(f, g, ghost), d_theta(f, g))
+    grad_log_r = (d_r(log_r, g), d_theta(log_r, g))
+    w_integrand = (tau * (m.R - metric_grad_norm_sq(log_r, m)) - log_r - log(tau)) * m.R
+    w = integrate_volume(w_integrand, m) - 2.0 * log(tau) * m.int_kappa
+
+    soliton_sq = integrate_volume(
+        shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost), m
     )
+    f_b = boundary_value(f)
+    de_dt = -(
+        integrate_volume(m.R * grad_diff_norm_sq(grad_f, grad_log_r, m), m)
+        + 2.0 * soliton_sq
+    ) - 2.0 * integrate_boundary(m.kappa * boundary_gradient_inner(f_b, f_b, m), m)
+
+    guo_sq = shifted_hessian_norm_sq(log_r, m, 0.5 * m.R - 0.5 / tau)
+    r_b, log_r_b = boundary_value(m.R), boundary_value(log_r)
+    bnd = m.kappa * (r_b * boundary_gradient_inner(log_r_b, log_r_b, m) + 1.0 / tau**2)
+    dw_dt = 2.0 * tau * integrate_volume(m.R * guo_sq, m) + 2.0 * tau * integrate_boundary(
+        bnd, m
+    )
+    return w, de_dt, dw_dt, sqrt(max(soliton_sq, 0.0))
+
+
+@pytest.mark.parametrize(
+    "grid_name, mode",
+    [("grid_1d", 0), ("grid_2d", 2), ("grid_2d", 3), ("grid_128x64", 2)],
+)
+def test_record_matches_standalone_functions(request, grid_name, mode):
+    # the record shares derivatives, exponentials and the soliton norm
+    # between its functionals; each standalone call below runs on a fresh
+    # metric with nothing cached, and every field must be bit-equal
+    if grid_name == "grid_128x64":
+        grid = build_grid(GridSpec(128, 64))
+    else:
+        grid = request.getfixturevalue(grid_name)
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, mode), grid)
     t, horizon = 0.1, 1.0
     rec = make_record(m, t, horizon)
-    f = potential_f(m).f
+
+    def fresh():
+        return ConformalMetric(m.u, m.grid, m.u_ghost)
+
+    f = potential_f(fresh()).f
     assert rec.tau == horizon - t
-    assert rec.W_partial == w_functional(m, horizon - t)
-    assert rec.dE_dt_rhs == dE_dt_rhs(m, f)
-    assert rec.dW_dt_rhs == dW_dt_rhs(m, horizon - t)
-    assert rec.soliton_residual_L2 == soliton_residual_L2(m, f)
-    assert rec.gauss_bonnet_res == gauss_bonnet_residual(m)
-    assert rec.E_partial == hamilton_entropy(m)
+    assert rec.W_partial == w_functional(fresh(), horizon - t)
+    assert rec.dE_dt_rhs == dE_dt_rhs(fresh(), f)
+    assert rec.dW_dt_rhs == dW_dt_rhs(fresh(), horizon - t)
+    assert rec.soliton_residual_L2 == soliton_residual_L2(fresh(), f)
+    assert rec.gauss_bonnet_res == gauss_bonnet_residual(fresh())
+    assert rec.E_partial == hamilton_entropy(fresh())
+    m_fresh = fresh()
+    assert (rec.v_M, rec.R_bar, rec.min_R) == (m_fresh.v_M, m_fresh.R_bar, m_fresh.R.min())
+    assert (rec.W_partial, rec.dE_dt_rhs, rec.dW_dt_rhs, rec.soliton_residual_L2) == (
+        _reference_rates(fresh(), f, horizon - t)
+    )
 
 
 def test_record_evaluates_curvature_once(grid_2d, monkeypatch):

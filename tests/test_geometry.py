@@ -10,6 +10,7 @@ from riccidisk.geometry import (
     boundary_laplacian,
     gauss_bonnet_residual,
     geodesic_curvature,
+    grad_diff_norm_sq,
     hessian,
     laplace_beltrami,
     make_metric,
@@ -21,11 +22,16 @@ from riccidisk.geometry import (
 from riccidisk.grid import (
     GridSpec,
     build_grid,
+    d2_r,
+    d2_theta,
+    d_r,
+    d_theta,
     ghost_extrapolate,
     ghost_mirror,
+    gradient0,
     integrate_volume,
 )
-from riccidisk.initial_data import CapParams, spherical_cap
+from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 
 def test_make_metric_rejects_wrong_shape(grid_1d):
@@ -107,6 +113,27 @@ def test_metric_quantities_match_the_functions(grid_2d):
     assert m.R is m.R
 
 
+@pytest.mark.parametrize("n_theta, mode", [(1, 0), (32, 3)])
+def test_cached_factors_and_derivatives_match_fresh_calls(n_theta, mode):
+    # the curvature-Neumann ghost ring, not the extrapolated one, enters d_r u
+    g = build_grid(GridSpec(64, n_theta))
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, mode), g)
+    assert not np.array_equal(m.u_ghost, ghost_extrapolate(m.u))
+    assert np.array_equal(m.exp_u, np.exp(m.u))
+    assert np.array_equal(m.exp_neg_u, np.exp(-m.u))
+    assert np.array_equal(m.exp_neg_2u, np.exp(-2.0 * m.u))
+    u_r, u_t = m.du
+    assert np.array_equal(u_r, d_r(m.u, g, m.u_ghost))
+    assert np.array_equal(u_t, d_theta(m.u, g))
+    log_r_r, log_r_t = m.dlog_R
+    assert np.array_equal(log_r_r, d_r(np.log(scalar_curvature(m)), g))
+    assert np.array_equal(log_r_t, d_theta(np.log(scalar_curvature(m)), g))
+    # shared by every functional of the metric, so they cannot be written
+    for cached in (m.exp_u, m.exp_neg_u, m.exp_neg_2u, *m.du, *m.dlog_R):
+        assert cached is not None and not cached.flags.writeable
+    assert m.du is m.du and m.exp_u is m.exp_u
+
+
 def test_hessian_trace_is_laplacian(hemisphere_2d):
     g = hemisphere_2d.grid
     f = (g.r**2)[:, None] * np.cos(2.0 * g.theta)[None, :]
@@ -141,9 +168,26 @@ def test_metric_tensor_norm_is_dimension(hemisphere_2d):
     assert np.max(np.abs(norm_sq - 2.0)) < 1e-12
 
 
+def _hessian_reference(f, m, ghost=None):
+    """The Hessian formulas evaluated as written, with fresh derivatives of u."""
+    g = m.grid
+    r = g.r[:, None]
+    u_r = d_r(m.u, g, m.u_ghost)
+    u_t = d_theta(m.u, g)
+    f_r = d_r(f, g, ghost)
+    f_t = d_theta(f, g)
+    f_rr = d2_r(f, g, ghost)
+    f_tt = d2_theta(f, g)
+    f_rt = d_theta(f_r, g)
+    h_rr = f_rr - 0.5 * u_r * f_r + 0.5 * u_t * f_t / r**2
+    h_rt = f_rt - 0.5 * u_t * f_r - (1.0 / r + 0.5 * u_r) * f_t
+    h_tt = f_tt + (r + 0.5 * r**2 * u_r) * f_r - 0.5 * u_t * f_t
+    return h_rr, h_rt, h_tt
+
+
 def _shifted_hessian_norm_sq_reference(f, m, c, ghost=None):
     """Hess f + c g built as three new arrays, then squared in the metric."""
-    h_rr, h_rt, h_tt = hessian(f, m, ghost=ghost)
+    h_rr, h_rt, h_tt = _hessian_reference(f, m, ghost=ghost)
     cg = c * np.exp(m.u)
     r2 = m.grid.r[:, None] ** 2
     t_rr, t_rt, t_tt = h_rr + cg, h_rt, h_tt + cg * r2
@@ -161,10 +205,19 @@ def test_shifted_hessian_norm_matches_reference(n_theta, pointwise_c, mirrored):
     f = g.r[:, None] ** 2 * np.sin(g.theta + 0.3)[None, :] + 0.1 * rng.standard_normal(bump.shape)
     c = 0.5 * (m.R - m.R_bar) if pointwise_c else -0.75
     ghost = ghost_mirror(f) if mirrored else None
-    assert np.array_equal(
-        shifted_hessian_norm_sq(f, m, c, ghost=ghost),
-        _shifted_hessian_norm_sq_reference(f, m, c, ghost=ghost),
-    )
+    expected = _shifted_hessian_norm_sq_reference(f, m, c, ghost=ghost)
+    assert np.array_equal(shifted_hessian_norm_sq(f, m, c, ghost=ghost), expected)
+    grad = gradient0(f, g, ghost)
+    assert np.array_equal(shifted_hessian_norm_sq(f, m, c, ghost=ghost, grad=grad), expected)
+    for got, want in zip(hessian(f, m, ghost=ghost), _hessian_reference(f, m, ghost=ghost)):
+        assert np.array_equal(got, want)
+    f_r, f_t = grad
+    grad_sq = np.exp(-m.u) * (f_r**2 + f_t**2 / g.r[:, None] ** 2)
+    assert np.array_equal(metric_grad_norm_sq(f, m, ghost=ghost), grad_sq)
+    assert np.array_equal(metric_grad_norm_sq(f, m, grad=grad), grad_sq)
+    u_r, u_t = gradient0(m.u, g)
+    diff_sq = np.exp(-m.u) * ((f_r - u_r) ** 2 + (f_t - u_t) ** 2 / g.r[:, None] ** 2)
+    assert np.array_equal(grad_diff_norm_sq(grad, (u_r, u_t), m), diff_sq)
 
 
 def test_normal_derivative_flat(flat_2d):

@@ -7,6 +7,7 @@ from riccidisk.grid import (
     GridSpec,
     boundary_value,
     build_grid,
+    d2_r,
     d2_theta,
     d_r,
     d_theta,
@@ -126,3 +127,24 @@ def test_d2_theta_is_the_periodic_second_difference():
     assert np.array_equal(d2_theta(phi, g), rolled / g.dtheta**2)
     g1 = build_grid(GridSpec(16, 1))
     assert np.array_equal(d2_theta(phi[:, :1], g1), np.zeros((16, 1)))
+
+
+@pytest.mark.parametrize("n_theta", [1, 24])
+def test_first_and_second_differences_match_their_formulas(n_theta):
+    # the differences are formed in place; each must equal its formula
+    # evaluated as one expression, bit for bit
+    g = build_grid(GridSpec(16, n_theta))
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((16, n_theta))
+    ghost = rng.standard_normal(n_theta)
+    pole = np.roll(phi[0], n_theta // 2)
+    up = np.concatenate([phi[1:], ghost[None, :]])
+    down = np.concatenate([pole[None, :], phi[:-1]])
+    assert np.array_equal(d_r(phi, g, ghost), (up - down) / (2.0 * g.dr))
+    assert np.array_equal(d2_r(phi, g, ghost), (up - 2.0 * phi + down) / g.dr**2)
+    if n_theta > 1:
+        centered = (np.roll(phi, -1, axis=-1) - np.roll(phi, 1, axis=-1)) / (2.0 * g.dtheta)
+        assert np.array_equal(d_theta(phi, g), centered)
+        assert np.array_equal(d_theta(phi[-1], g), centered[-1])
+    else:
+        assert np.array_equal(d_theta(phi, g), np.zeros_like(phi))

@@ -79,10 +79,78 @@ def _sample(seed=0, n_r=48, n_theta=24):
     return g, np.ascontiguousarray(u), np.ascontiguousarray(ghost)
 
 
+def _sum_outcome(fn, values):
+    """The sum as (value, sign bit), or the type of the error it raised."""
+    try:
+        s = fn(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return s, math.copysign(1.0, s)
+
+
+def _fsum(values):
+    return math.fsum(np.asarray(values).tolist())
+
+
 def test_kahan_matches_fsum():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(10_001) * 10.0 ** rng.integers(-8, 8, 10_001)
-    assert K.kahan_sum(values) == pytest.approx(math.fsum(values), rel=1e-14)
+    assert K.kahan_sum(values) == math.fsum(values)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 40_000), st.integers(900, 1100), st.just(1)),
+    e_lo=st.integers(-1074, 1023),
+    e_span=st.integers(0, 2100),
+    zeros=st.sampled_from([0.0, 0.05, 1.0]),
+    cancel=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kahan_is_fsum_bit_for_bit(n, e_lo, e_span, zeros, cancel, seed):
+    # random signs and significands with binary exponents in
+    # [e_lo, e_lo + e_span] clipped to the double range (subnormals
+    # included), a share of +-0.0, and optionally the array followed by its
+    # own negation in shuffled order, so that the exact sum is zero
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(e_lo, min(e_lo + e_span, 1023) + 1, n)
+    values = np.ldexp(rng.uniform(-1.0, 1.0, n), exps)
+    values[rng.random(n) < zeros] = 0.0
+    values[rng.random(n) < 0.5 * zeros] = -0.0
+    if cancel and n > 1:
+        values = np.concatenate([values[: n // 2], -values[: n // 2]])
+        rng.shuffle(values)
+    assert _sum_outcome(K.kahan_sum, values) == _sum_outcome(_fsum, values)
+
+
+@pytest.mark.parametrize("n", [5, 5000])
+@pytest.mark.parametrize(
+    "special, fsum_outcome",
+    [
+        ("nan", None),
+        ("inf", (np.inf, 1.0)),
+        ("-inf", (-np.inf, -1.0)),
+        ("inf-inf", ValueError),
+        ("near-max", OverflowError),
+    ],
+)
+def test_kahan_matches_fsum_on_exceptional_input(n, special, fsum_outcome):
+    values = np.random.default_rng(4).standard_normal(n)
+    if special == "inf-inf":
+        values[1], values[-2] = np.inf, -np.inf
+    elif special == "near-max":
+        # finite terms with a finite exact sum on which fsum's running sum
+        # overflows: it raises "intermediate overflow"
+        values[:] = 0.0
+        values[:3] = (1.5e308, 1.5e308, -1.5e308)
+    else:
+        values[n // 2] = float(special)
+    got = _sum_outcome(K.kahan_sum, values)
+    if special == "nan":
+        assert math.isnan(_fsum(values)) and math.isnan(got[0])
+    else:
+        assert _sum_outcome(_fsum, values) == fsum_outcome
+        assert got == fsum_outcome
 
 
 @pytest.mark.parametrize("kind", ["cancelling", "heavy_tailed"])
