@@ -1,12 +1,12 @@
 """Hot numeric kernels for the flow inner loop, vectorized with numpy.
 
-Every RK4 stage calls the ghost closure and then the curvature, so both
-are written to cost their arithmetic and little else: the grid-constant
-stencil coefficients come precomputed from :func:`flux_stencil` (built
-once per grid), periodic neighbours in theta come from :func:`roll_theta`
-(two slice copies; ``np.roll`` spends microseconds of Python per call
-whatever the array size), and the closure evaluates the curvature of its
-two interior rings as one block.
+Every RK4 stage calls the ghost closure, which returns the curvature it
+closes along with the ghost ring, so a stage costs one flux-Laplacian
+pass.  The kernels are written to cost their arithmetic and little else:
+the grid-constant stencil coefficients come precomputed from
+:func:`flux_stencil` (built once per grid), and periodic neighbours in
+theta come from :func:`roll_theta` (two slice copies; ``np.roll`` spends
+microseconds of Python per call whatever the array size).
 
 Reductions are exactly rounded (:func:`kahan_sum`), so they do not depend
 on summation order and results are bit-reproducible across runs.  A large
@@ -33,6 +33,12 @@ _FSUM_BELOW = 1000
 _BUCKET_MAX_TERMS = 2**26
 # m + _SPLIT - _SPLIT rounds a significand m in (-1, 1) to a multiple of 2^-26
 _SPLIT = 1.5 * 2.0**26
+# terms per block: every temporary of a block stays under glibc's 128 KiB
+# mmap threshold, so a large sum reuses heap memory instead of faulting
+# fresh pages in on every call
+_BLOCK = 8192
+# np.frexp exponents of doubles (subnormals, zero, inf and NaN included)
+_EXP_LO, _EXP_HI = -1073, 1024
 
 
 def kahan_sum(values):
@@ -41,9 +47,10 @@ def kahan_sum(values):
     Exact rounding is at least as strong as compensated summation and does
     not depend on the order of the terms.  Each term is m 2^e with a 53-bit
     significand m (``np.frexp``); the two 26-bit halves of m are summed
-    exactly per exponent e with ``np.bincount``, the buckets are combined
-    into one Python integer, and that integer is rounded once by the
-    correctly rounded ``int / int``.  No Python list of the terms is built.
+    exactly per exponent e with ``np.bincount``, block by block, the buckets
+    are combined into one Python integer, and that integer is rounded once
+    by the correctly rounded ``int / int``.  No Python list of the terms is
+    built.
 
     ``math.fsum`` itself sums the arrays where it is faster (fewer than
     ``_FSUM_BELOW`` terms) and those where its result is not simply the
@@ -56,24 +63,32 @@ def kahan_sum(values):
     n = x.size
     if n < _FSUM_BELOW or n >= _BUCKET_MAX_TERMS:
         return math.fsum(x.tolist())
-    mant, exp = np.frexp(x)
-    e_min, e_max = int(exp.min()), int(exp.max())
+    # per exponent e, at column e - _EXP_LO, the bucket sums of the high and
+    # the low halves; adding a block's buckets to them is exact
+    sums = np.zeros((2, _EXP_HI - _EXP_LO + 1))
+    e_min, e_max = _EXP_HI, _EXP_LO
+    for start in range(0, n, _BLOCK):
+        mant, exp = np.frexp(x[start:start + _BLOCK])
+        lo_e, hi_e = int(exp.min()), int(exp.max())
+        e_min, e_max = min(e_min, lo_e), max(e_max, hi_e)
+        bucket = np.subtract(exp, lo_e, dtype=np.intp)
+        cols = slice(lo_e - _EXP_LO, hi_e - _EXP_LO + 1)
+        half = mant + _SPLIT
+        half -= _SPLIT
+        hi_sum = np.bincount(bucket, weights=half)
+        if not np.isfinite(hi_sum).all():  # a NaN or infinite term
+            return math.fsum(x.tolist())
+        sums[0, cols] += hi_sum
+        mant -= half
+        sums[1, cols] += np.bincount(bucket, weights=mant)
     # |sum| <= n 2^e_max < 2^(e_max + bit_length(n)) <= 2^1023 < DBL_MAX
     if e_max + n.bit_length() > 1023:
         return math.fsum(x.tolist())
-    hi = mant + _SPLIT
-    hi -= _SPLIT
-    bucket = np.subtract(exp, e_min, dtype=np.intp)
-    # bucket sums, as integer multiples of 2^(e_min + bucket - 53)
-    hi_sum = np.bincount(bucket, weights=hi)
-    if not np.isfinite(hi_sum).all():  # a NaN or infinite term
-        return math.fsum(x.tolist())
-    hi_sum *= 2.0**53
-    mant -= hi
-    lo_sum = np.bincount(bucket, weights=mant)
-    lo_sum *= 2.0**53
+    sums = sums[:, e_min - _EXP_LO:e_max - _EXP_LO + 1]
+    # bucket sums, as integer multiples of 2^(e - 53)
+    sums *= 2.0**53
     total = 0
-    for h, lo in zip(reversed(hi_sum.tolist()), reversed(lo_sum.tolist())):
+    for h, lo in zip(*sums[:, ::-1].tolist()):
         total = (total << 1) + int(h) + int(lo)
     if not total:
         return math.fsum(x.tolist())
@@ -153,28 +168,43 @@ def curvature(u, ghost, r_out, r_in, r_dr2, r2_dtheta2):
 
 
 def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
-    """Ghost ring of u enforcing the discrete curvature Neumann condition.
+    """Ghost ring of u enforcing the discrete curvature Neumann condition, and R.
 
-    The outward derivative of R at r=1 is extrapolated from the last three
-    interior rings; only R on the outermost ring depends on the ghost, and
-    it does so linearly, so the closure is a direct per-node solve.  R on
-    rings n-3 and n-2 needs no ghost and is evaluated as one block.
+    Returns ``(ghost, R)``, with R bit-identical to ``curvature(u, ghost,
+    ...)``: every element goes through the same operations in the same
+    order.  The outward derivative of R at r=1 is extrapolated from the
+    last three interior rings; only R on the outermost ring depends on the
+    ghost, and it does so linearly, so the closure is a direct per-node
+    solve once R on the other rings is known.
     """
     n_r, n_t = u.shape
-    rows = slice(n_r - 3, n_r - 1)
-    top = u[n_r - 4:]                # rings n-4 .. n-1
-    jump = top[1:] - top[:-1]        # across the faces below rings n-3 .. n-1
-    lap = r_out[rows] * jump[1:]
-    lap -= r_in[rows] * jump[:-1]
-    lap /= r_dr2[rows]
+    # jump[k] = u[k] - u[k - 1] across the face below ring k, zero below
+    # the pole (where r_in is zero); the face above the last ring waits
+    # for the ghost
+    jump = np.empty((n_r, n_t))
+    jump[0] = u[0]
+    np.subtract(u[1:], u[:-1], out=jump[1:])
+    inner = r_out[:-1] * jump[1:]    # rings 0 .. n-2: no ghost
+    # jump is then the inward flux r_in jump, the closure's last term
+    inner -= np.multiply(r_in, jump, out=jump)[:-1]
+    inner /= r_dr2[:-1]
     if n_t > 1:
-        ang = theta_term(top[1:], r2_dtheta2[n_r - 3:])
-        lap += ang[:2]
-    R = -np.exp(-top[1:3]) * lap
-    r_target = 1.5 * R[1] - 0.5 * R[0]
+        ang = theta_term(u, r2_dtheta2)
+        inner += ang[:-1]
+    R = np.exp(-u)
+    np.negative(R, out=R)
+    R[:-1] *= inner
+    r_target = 1.5 * R[-2] - 0.5 * R[-3]
 
     lap_target = -r_target * np.exp(u[-1])
     if n_t > 1:
-        lap_target -= ang[2]
+        lap_target -= ang[-1]
     # the outer face radius of the last ring is 1
-    return u[-1] + r_dr2[-1, 0] * lap_target + r_in[-1, 0] * jump[2]
+    ghost = u[-1] + r_dr2[-1, 0] * lap_target + jump[-1]
+    last = r_out[-1] * (ghost - u[-1])
+    last -= jump[-1]
+    last /= r_dr2[-1]
+    if n_t > 1:
+        last += ang[-1]
+    R[-1] *= last
+    return ghost, R

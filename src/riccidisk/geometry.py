@@ -44,9 +44,12 @@ class ConformalMetric:
     metric: the curvature quantities R, log R, v(M), int R dv, Rbar, kappa
     and int kappa ds; the conformal factors exp(u), exp(-u) and exp(-2u);
     and the flat first derivatives (d_r, d_theta) of u (with its ghost
-    ring) and of log R (extrapolated ghost).  The factors and derivatives
-    are read-only.  The arrays u and u_ghost must not be modified in place
-    once the metric exists.
+    ring) and of log R (extrapolated ghost).  Metrics built by the
+    curvature-Neumann closure (``flow.enforce_curvature_neumann``, which
+    the flow and initial-data modules use) arrive with R already cached:
+    the closure evaluates it, bit-identical to :func:`scalar_curvature`.
+    The factors and derivatives are read-only.  The arrays u and u_ghost
+    must not be modified in place once the metric exists.
     """
 
     u: np.ndarray

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from riccidisk.errors import PositivityError, UsageError
+from riccidisk import _kernels
+from riccidisk.errors import (
+    BoundaryClosureError,
+    DomainError,
+    PositivityError,
+    RicciDiskError,
+    UsageError,
+)
 from riccidisk.flow import (
     FlowSchedule,
     FlowState,
@@ -12,6 +19,7 @@ from riccidisk.flow import (
     step,
 )
 from riccidisk.geometry import ConformalMetric, make_metric, scalar_curvature
+from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import (
     CapParams,
     PerturbationParams,
@@ -19,6 +27,42 @@ from riccidisk.initial_data import (
     perturbed_cap,
     spherical_cap,
 )
+
+
+# Reference step: the four-call RK4 step the fused one replaces, kept as the
+# oracle it must reproduce bit for bit.  Every stage runs the closure for
+# its ghost alone and then the curvature kernel, the stages are combined
+# out of place, and the time step reads a fresh exp(u).
+
+def _ref_closed(u, grid):
+    ghost, _ = _kernels.curvature_neumann_ghost(u, *grid.stencil)
+    if not np.isfinite(ghost).all():
+        raise BoundaryClosureError("curvature ghost closure produced non-finite values")
+    return ConformalMetric(u, grid, ghost)
+
+
+def _ref_rhs(m):
+    return -scalar_curvature(m)
+
+
+def _ref_cfl_dt(m, safety):
+    g = m.grid
+    h = min(g.dr, g.r[0] * g.dtheta)
+    return safety * float(np.exp(m.u).min()) * h * h / 4.0
+
+
+def _ref_step(s, dt):
+    m0 = s.metric
+    u0, grid = m0.u, m0.grid
+    k1 = _ref_rhs(m0)
+    k2 = _ref_rhs(_ref_closed(u0 + 0.5 * dt * k1, grid))
+    k3 = _ref_rhs(_ref_closed(u0 + 0.5 * dt * k2, grid))
+    k4 = _ref_rhs(_ref_closed(u0 + dt * k3, grid))
+    m_new = _ref_closed(u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), grid)
+    r_min = float(scalar_curvature(m_new).min())
+    if not r_min > 0.0:
+        raise PositivityError(f"min R = {r_min:.3e} is not positive", min_r=r_min)
+    return FlowState(s.t + dt, m_new)
 
 
 def test_cfl_scales_with_safety(hemisphere_1d):
@@ -153,3 +197,54 @@ def test_step_calls_no_np_roll(grid_2d, monkeypatch):
     monkeypatch.setattr(np, "roll", no_roll)
     s = step(FlowState(0.0, m0), cfl_dt(m0, 0.8))
     assert s.t > 0.0
+
+
+@pytest.mark.parametrize("n_r, n_theta, mode", [(128, 1, 0), (64, 32, 2), (128, 64, 3)])
+def test_step_matches_reference_step_bit_for_bit(n_r, n_theta, mode):
+    g = build_grid(GridSpec(n_r, n_theta))
+    if mode:
+        m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, mode), g)
+    else:
+        m0 = spherical_cap(CapParams(1.0), g)
+    fast = ref = FlowState(0.0, m0)
+    for _ in range(25):
+        dt = cfl_dt(fast.metric, 0.8)
+        assert dt == _ref_cfl_dt(ref.metric, 0.8)
+        fast = step(fast, dt)
+        ref = _ref_step(ref, dt)
+    assert fast.t == ref.t
+    assert np.array_equal(fast.metric.u, ref.metric.u)
+    assert np.array_equal(fast.metric.u_ghost, ref.metric.u_ghost)
+    assert np.array_equal(fast.metric.R, scalar_curvature(ref.metric))
+
+
+def _failing_state(case, grid):
+    """A state and a time step on which one RK4 step fails."""
+    if case == "overflow":
+        # a stage far beyond the CFL bound overflows exp(-u)
+        return spherical_cap(CapParams(0.5), grid), 1.0e3
+    if case == "nan":
+        # one NaN in u (set after construction, which rejects it) reaches
+        # the stages through R
+        m = make_metric(spherical_cap(CapParams(0.5), grid).u.copy(), grid)
+        m.u[grid.n_r // 2, 0] = np.nan
+        return m, 1.0e-6
+    # u = r^2 has negative curvature: the step cannot end positive
+    u = np.broadcast_to((grid.r**2)[:, None], (grid.n_r, grid.n_theta)).copy()
+    return enforce_curvature_neumann(u, grid), 1.0e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, error",
+    [("overflow", BoundaryClosureError), ("nan", DomainError), ("positivity", PositivityError)],
+)
+def test_step_fails_like_reference_step(grid_2d, case, error):
+    # each side gets its own state: the step fills the metric's caches
+    raised = []
+    for fn in (step, _ref_step):
+        m, dt = _failing_state(case, grid_2d)
+        with pytest.raises(RicciDiskError) as info:
+            fn(FlowState(0.0, m), dt)
+        raised.append(type(info.value))
+    assert raised == [error, error]
