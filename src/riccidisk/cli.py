@@ -6,8 +6,9 @@ Commands:
     riccidisk verify <config>        run identity checks, write a JSONL report
     riccidisk convergence <config>   run convergence studies, write a CSV
 
-Configs are flat ``key = value`` lines with a fixed key set; unknown or
-missing keys are reported with their line numbers.  Exit codes: 0 success,
+Configs are flat ``key = value`` lines with a fixed key set; unknown and
+duplicate keys are reported with their line numbers, missing keys by
+name.  Exit codes: 0 success,
 1 configuration or usage error (an output that cannot be written
 included), 2 flow terminated early, 3 verification failure.
 """
@@ -31,13 +32,21 @@ EXIT_VERIFY = 3
 
 CSV_COLUMNS = tuple(f.name for f in fields(EntropyRecord))
 
-_INT_KEYS = {"grid.n_r", "grid.n_theta", "initial.mode", "schedule.record_every"}
-_FLOAT_KEYS = {
-    "initial.cap_c", "initial.eps", "schedule.t_end",
-    "schedule.cfl_safety", "w.horizon",
+# every config key and the type its value is parsed as; all are required
+KEYS = {
+    "grid.n_r": int,
+    "grid.n_theta": int,
+    "initial.cap_c": float,
+    "initial.eps": float,
+    "initial.mode": int,
+    "schedule.t_end": float,
+    "schedule.cfl_safety": float,
+    "schedule.record_every": int,
+    "w.horizon": float,
+    "out.trajectory_csv": str,
+    "out.report_jsonl": str,
+    "verify.checks": str,
 }
-_STR_KEYS = {"out.trajectory_csv", "out.report_jsonl", "verify.checks"}
-ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 
 @dataclass
@@ -69,51 +78,36 @@ def parse_config(path: str) -> ExperimentConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in ALL_KEYS:
+        if key not in KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigurationError(f"{path}:{lineno}: {key} needs an integer, got {val!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigurationError(f"{path}:{lineno}: {key} needs a number, got {val!r}")
-            if not math.isfinite(values[key]):
-                raise ConfigurationError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
-        else:
-            values[key] = val
+        kind = KEYS[key]
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            needs = "an integer" if kind is int else "a number"
+            raise ConfigurationError(f"{path}:{lineno}: {key} needs {needs}, got {val!r}")
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigurationError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
 
-    for key in sorted(ALL_KEYS):
+    for key in sorted(KEYS):
         if key not in values:
             raise ConfigurationError(f"{path}: missing required key {key!r}")
 
-    spec = GridSpec(values["grid.n_r"], values["grid.n_theta"])
-    spec.validate()
-    cap = CapParams(values["initial.cap_c"])
-    cap.validate()
-    pert = PerturbationParams(values["initial.eps"], values["initial.mode"])
-    pert.validate()
-    sched = FlowSchedule(
-        t_end=values["schedule.t_end"],
-        cfl_safety=values["schedule.cfl_safety"],
-        record_every=values["schedule.record_every"],
-    )
-    sched.validate()
-    checks = [c.strip() for c in values["verify.checks"].split(",") if c.strip()]
     return ExperimentConfig(
-        grid=spec,
-        cap=cap,
-        perturbation=pert,
-        schedule=sched,
+        grid=GridSpec(values["grid.n_r"], values["grid.n_theta"]),
+        cap=CapParams(values["initial.cap_c"]),
+        perturbation=PerturbationParams(values["initial.eps"], values["initial.mode"]),
+        schedule=FlowSchedule(
+            t_end=values["schedule.t_end"],
+            cfl_safety=values["schedule.cfl_safety"],
+            record_every=values["schedule.record_every"],
+        ),
         w_horizon=values["w.horizon"],
         trajectory_csv=values["out.trajectory_csv"],
         report_jsonl=values["out.report_jsonl"],
-        checks=checks,
+        checks=[c.strip() for c in values["verify.checks"].split(",") if c.strip()],
     )
 
 
@@ -154,14 +148,19 @@ def _run_check(name, initial, traj, tau):
     return V.CHECKS[name][1](initial, traj, tau)
 
 
+def _require_checks(checks, known, unknown_message):
+    """Reject an empty ``verify.checks`` or one naming a check not in ``known``."""
+    if not checks:
+        raise ConfigurationError("verify.checks is empty")
+    unknown = [c for c in checks if c not in known]
+    if unknown:
+        raise ConfigurationError(f"{unknown_message}: {', '.join(unknown)}")
+
+
 def cmd_verify(config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
-        if not cfg.checks:
-            raise ConfigurationError("verify.checks is empty")
-        unknown = [c for c in cfg.checks if c not in V.CHECKS]
-        if unknown:
-            raise ConfigurationError(f"unknown checks: {', '.join(unknown)}")
+        _require_checks(cfg.checks, V.CHECKS, "unknown checks")
 
         initial = _initial_metric(cfg)
         traj = None
@@ -190,11 +189,7 @@ def cmd_verify(config_path: str) -> int:
 def cmd_convergence(config_path: str) -> int:
     try:
         cfg = parse_config(config_path)
-        if not cfg.checks:
-            raise ConfigurationError("verify.checks is empty")
-        unknown = [c for c in cfg.checks if c not in V.STUDIES]
-        if unknown:
-            raise ConfigurationError(f"no convergence study named: {', '.join(unknown)}")
+        _require_checks(cfg.checks, V.STUDIES, "no convergence study named")
         lines = ["name,h,dt,err,observed_order"]
         for name in cfg.checks:
             rep = V.convergence_study(name, cfg.grid)

@@ -146,9 +146,7 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
     b = b.ravel()
     total = kahan_sum(b)  # int rho dv_g
     compat = abs(total)
-    scale = float(np.max(np.abs(rho))) if rho.size else 0.0
-    if scale == 0.0:
-        return NeumannSolution(np.zeros_like(m.u), compat, 0.0)
+    scale = float(np.max(np.abs(rho)))
     if not compat <= COMPAT_TOL * scale * v_m:
         raise CompatibilityError(
             f"Neumann compatibility violated: |int rho dv| = {compat:.3e} "

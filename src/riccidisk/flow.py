@@ -29,22 +29,24 @@ class FlowState:
     metric: ConformalMetric
 
 
-@dataclass
+# a run that has not reached t_end after this many accepted steps stops
+# with Termination.STEP_LIMIT
+MAX_STEPS = 10_000_000
+
+
+@dataclass(frozen=True)
 class FlowSchedule:
     t_end: float
     cfl_safety: float = 0.8
     record_every: int = 1
-    max_steps: int = 10_000_000
 
-    def validate(self):
+    def __post_init__(self):
         if not self.t_end > 0.0:  # NaN fails too
             raise UsageError(f"t_end must be positive, got {self.t_end}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise UsageError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.record_every < 1:
             raise UsageError("record_every must be a positive integer")
-        if self.max_steps < 1:
-            raise UsageError("max_steps must be a positive integer")
 
 
 @dataclass
@@ -129,11 +131,12 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     """Integrate to t_end (or early termination), recording entropy data.
 
     Records are taken at t = 0, every ``record_every`` accepted steps, and
-    at the final accepted state; snapshots are stored alongside each record.
-    A snapshot shares u and the ghost ring with the state it was taken
-    from but none of its cached curvature, so it costs u plus its ghost.
+    at the final accepted state, also when the run stops early (after
+    ``MAX_STEPS`` steps or at a step that loses positivity); snapshots are
+    stored alongside each record.  A snapshot shares u and the ghost ring
+    with the state it was taken from but none of its cached curvature, so
+    it costs u plus its ghost.
     """
-    sched.validate()
     if not w_horizon > sched.t_end:  # NaN fails too
         raise UsageError(
             f"w_horizon ({w_horizon}) must exceed t_end ({sched.t_end})"
@@ -155,21 +158,20 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
 
     record(state)
     steps = 0
-    last_recorded = 0
     while state.t < sched.t_end * (1.0 - 1e-14):
-        if steps >= sched.max_steps:
+        if steps >= MAX_STEPS:
             traj.termination = Termination.STEP_LIMIT
-            return traj
+            break
         dt = min(cfl_dt(state.metric, sched.cfl_safety), sched.t_end - state.t)
         try:
             state = step(state, dt)
         except PositivityError:
             traj.termination = Termination.POSITIVITY_LOST
-            return traj
+            break
         steps += 1
-        if steps - last_recorded >= sched.record_every or state.t >= sched.t_end * (1.0 - 1e-14):
+        if steps % sched.record_every == 0 or state.t >= sched.t_end * (1.0 - 1e-14):
             record(state)
-            last_recorded = steps
 
-    traj.termination = Termination.COMPLETED
+    if traj.snapshots[-1].t < state.t:  # an early stop between record steps
+        record(state)
     return traj

@@ -35,7 +35,7 @@ class GridSpec:
     n_r: int
     n_theta: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_r < 8:
             raise ConfigurationError(f"n_r must be >= 8, got {self.n_r}")
         if self.n_theta != 1 and (self.n_theta < 8 or self.n_theta % 2 != 0):
@@ -64,7 +64,6 @@ class PolarGrid:
 
 
 def build_grid(spec: GridSpec) -> PolarGrid:
-    spec.validate()
     n_r, n_t = spec.n_r, spec.n_theta
     try:
         dr = 1.0 / n_r

@@ -30,13 +30,13 @@ from .grid import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapParams:
     """Curvature scale c > 0; boundary is convex iff c <= 1."""
 
     c: float
 
-    def validate(self):
+    def __post_init__(self):
         if not self.c > 0.0:  # NaN fails too
             raise UsageError(f"cap parameter c must be positive, got {self.c}")
 
@@ -49,12 +49,12 @@ class CapParams:
         return 4.0 * pi / (1.0 + self.c)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationParams:
     epsilon: float
     mode: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode < 0:
             raise UsageError(f"angular mode must be nonnegative, got {self.mode}")
 
@@ -70,7 +70,6 @@ def spherical_cap(p: CapParams, grid: PolarGrid, normalize_volume=False) -> Conf
     for c < 1; it is the admissible family for the Euler-characteristic
     form of the entropy, which requires initial volume 4 pi chi.
     """
-    p.validate()
     u = np.broadcast_to(_cap_u(p.c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
     if normalize_volume:
         u += np.log(1.0 + p.c)
@@ -83,8 +82,6 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
     Raises AmplitudeError (with the bisected maximal admissible amplitude)
     when the requested epsilon destroys curvature positivity.
     """
-    base.validate()
-    p.validate()
     if p.mode > grid.n_theta // 2:
         raise UsageError(f"angular mode {p.mode} is above n_theta // 2 = {grid.n_theta // 2}")
 

@@ -143,8 +143,6 @@ def _probe(traj):
             f"need at least 3 records for time differencing, got {len(traj.records)}"
         )
     k = len(traj.records) // 2
-    if k == len(traj.records) - 1:
-        k -= 1
     ts = [r.t for r in traj.records]
     return k, ts[k] - ts[k - 1], ts[k + 1] - ts[k]
 

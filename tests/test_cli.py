@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,16 +16,17 @@ from riccidisk.cli import (
     EXIT_EARLY,
     EXIT_OK,
     EXIT_VERIFY,
-    ALL_KEYS,
-    _FLOAT_KEYS,
+    KEYS,
     cmd_convergence,
     cmd_run,
     cmd_verify,
     main,
     parse_config,
 )
-from riccidisk.errors import ConfigurationError, RicciDiskError
-from riccidisk.flow import FlowTrajectory, Termination
+from riccidisk.errors import ConfigurationError, RicciDiskError, UsageError
+from riccidisk.flow import FlowSchedule, FlowTrajectory, Termination
+from riccidisk.grid import GridSpec
+from riccidisk.initial_data import CapParams, PerturbationParams
 
 _VALID = {
     "grid.n_r": 64,
@@ -61,6 +63,72 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.checks == ["hamilton", "guo", "relation"]
 
 
+def test_key_table_is_pinned():
+    assert {k: t.__name__ for k, t in KEYS.items()} == {
+        "grid.n_r": "int",
+        "grid.n_theta": "int",
+        "initial.cap_c": "float",
+        "initial.eps": "float",
+        "initial.mode": "int",
+        "schedule.t_end": "float",
+        "schedule.cfl_safety": "float",
+        "schedule.record_every": "int",
+        "w.horizon": "float",
+        "out.trajectory_csv": "str",
+        "out.report_jsonl": "str",
+        "verify.checks": "str",
+    }
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: GridSpec(4), ConfigurationError, "n_r must be >= 8, got 4"),
+        (lambda: GridSpec(32, 9), ConfigurationError,
+         "n_theta must be 1 or an even integer >= 8, got 9"),
+        (lambda: GridSpec(32, 4), ConfigurationError,
+         "n_theta must be 1 or an even integer >= 8, got 4"),
+        (lambda: CapParams(0.0), UsageError, "cap parameter c must be positive, got 0.0"),
+        (lambda: CapParams(float("nan")), UsageError,
+         "cap parameter c must be positive, got nan"),
+        (lambda: PerturbationParams(0.1, -1), UsageError,
+         "angular mode must be nonnegative, got -1"),
+        (lambda: FlowSchedule(float("nan")), UsageError, "t_end must be positive, got nan"),
+        (lambda: FlowSchedule(-1.0), UsageError, "t_end must be positive, got -1.0"),
+        (lambda: FlowSchedule(0.1, cfl_safety=1.5), UsageError,
+         "cfl_safety must lie in (0, 1], got 1.5"),
+        (lambda: FlowSchedule(0.1, record_every=0), UsageError,
+         "record_every must be a positive integer"),
+        # replace() builds a new spec, so it cannot bypass the checks
+        (lambda: dataclasses.replace(FlowSchedule(0.1), record_every=0), UsageError,
+         "record_every must be a positive integer"),
+    ],
+    ids=[
+        "n_r", "n_theta_odd", "n_theta_small", "cap_zero", "cap_nan", "mode",
+        "t_end_nan", "t_end_negative", "cfl_safety", "record_every", "replace",
+    ],
+)
+def test_specs_check_themselves_when_built(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (GridSpec(32, 8), "n_r"),
+        (CapParams(0.5), "c"),
+        (PerturbationParams(0.05, 2), "mode"),
+        (FlowSchedule(0.1), "record_every"),
+    ],
+    ids=["GridSpec", "CapParams", "PerturbationParams", "FlowSchedule"],
+)
+def test_specs_are_frozen(spec, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(spec, field, 0)
+
+
 def test_parse_config_errors(tmp_path):
     p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": None})
     with pytest.raises(ConfigurationError, match="grid.n_r"):
@@ -89,7 +157,7 @@ def test_parse_config_errors(tmp_path):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     junk=st.dictionaries(
-        st.sampled_from(sorted(ALL_KEYS)),
+        st.sampled_from(sorted(KEYS)),
         st.one_of(st.sampled_from(["nan", "1e400", "-3", "="]), st.text(max_size=12)),
         max_size=4,
     ),
@@ -178,7 +246,7 @@ def test_cmd_run_overflowing_amplitude(tmp_path, capsys, eps):
     assert "error:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+@pytest.mark.parametrize("key", sorted(k for k, t in KEYS.items() if t is float))
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cmd_run_rejects_non_finite_numbers(tmp_path, capsys, key, bad):
     cfg = _write_config(tmp_path / "c.cfg", **{key: bad})
@@ -207,6 +275,16 @@ def test_cmd_verify_full_suite(tmp_path):
     assert cmd_verify(str(cfg)) == EXIT_OK
     report = (tmp_path / "report.jsonl").read_text().splitlines()
     assert len(report) == 12
+
+
+def test_cmd_run_early_stop_writes_last_accepted_state(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(riccidisk.flow, "MAX_STEPS", 3)
+    cfg = _write_config(tmp_path / "c.cfg", **{"schedule.record_every": 10})
+    assert cmd_run(str(cfg)) == EXIT_EARLY
+    assert "flow terminated early: step_limit" in capsys.readouterr().err
+    rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert float(rows[0].split(",")[0]) == 0.0 < float(rows[1].split(",")[0])
 
 
 @pytest.mark.parametrize("cause", [Termination.POSITIVITY_LOST, Termination.STEP_LIMIT])

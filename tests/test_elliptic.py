@@ -123,10 +123,12 @@ def test_potential_of_constant_curvature_is_zero(hemisphere_1d):
     assert np.max(np.abs(sol.f)) < 1e-4
 
 
-def test_zero_data_short_circuits(hemisphere_1d):
-    rho = np.zeros((hemisphere_1d.grid.n_r, 1))
-    sol = solve_poisson_neumann(rho, hemisphere_1d)
-    assert np.all(sol.f == 0.0)
+def test_zero_data_short_circuits(hemisphere_1d, hemisphere_2d):
+    for m in (hemisphere_1d, hemisphere_2d):
+        sol = solve_poisson_neumann(np.zeros_like(m.u), m)
+        assert np.all(sol.f == 0.0)
+        assert sol.compat_residual == 0.0
+        assert sol.linear_residual == 0.0
 
 
 def _dense_operator(A, n):

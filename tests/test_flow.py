@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riccidisk import _kernels
+from riccidisk import _kernels, flow
 from riccidisk.errors import (
     BoundaryClosureError,
     DomainError,
@@ -124,18 +124,18 @@ def test_snapshots_keep_no_cached_curvature(grid_2d):
 
 def test_nan_bounds_are_rejected(hemisphere_1d):
     with pytest.raises(UsageError):
-        FlowSchedule(t_end=float("nan")).validate()
+        FlowSchedule(t_end=float("nan"))
     with pytest.raises(UsageError):
         run(hemisphere_1d, FlowSchedule(t_end=0.01), w_horizon=float("nan"))
 
 
 def test_schedule_validation():
     with pytest.raises(UsageError):
-        FlowSchedule(t_end=-1.0).validate()
+        FlowSchedule(t_end=-1.0)
     with pytest.raises(UsageError):
-        FlowSchedule(t_end=0.1, cfl_safety=1.5).validate()
+        FlowSchedule(t_end=0.1, cfl_safety=1.5)
     with pytest.raises(UsageError):
-        FlowSchedule(t_end=0.1, record_every=0).validate()
+        FlowSchedule(t_end=0.1, record_every=0)
 
 
 def test_negative_curvature_initial_data_rejected(grid_1d):
@@ -157,10 +157,37 @@ def test_nan_curvature_initial_data_rejected(grid_1d):
         run(m, FlowSchedule(t_end=0.01), w_horizon=0.5)
 
 
-def test_step_limit_termination(grid_1d):
+def test_step_limit_termination(grid_1d, monkeypatch):
+    # the run stops between record steps and still records its last state
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     m0 = spherical_cap(CapParams(0.5), grid_1d)
-    traj = run(m0, FlowSchedule(t_end=0.1, max_steps=3), w_horizon=0.5)
+    traj = run(m0, FlowSchedule(t_end=0.1, record_every=10), w_horizon=0.5)
+    s = FlowState(0.0, m0)
+    for _ in range(3):
+        s = step(s, cfl_dt(s.metric, 0.8))
     assert traj.termination is Termination.STEP_LIMIT
+    assert [r.t for r in traj.records] == [0.0, s.t]
+    assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
+    assert np.array_equal(traj.snapshots[-1].metric.u, s.metric.u)
+
+
+@pytest.mark.parametrize("record_every", [10, 3])
+def test_positivity_loss_records_last_accepted_state(grid_1d, monkeypatch, record_every):
+    # with record_every = 3 the last accepted step is a record step already
+    dts = []
+
+    def failing_step(s, dt):
+        dts.append(dt)
+        if len(dts) == 4:
+            raise PositivityError("min R is not positive", min_r=-1.0)
+        return step(s, dt)
+
+    monkeypatch.setattr(flow, "step", failing_step)
+    m0 = spherical_cap(CapParams(0.5), grid_1d)
+    traj = run(m0, FlowSchedule(t_end=0.1, record_every=record_every), w_horizon=0.5)
+    assert traj.termination is Termination.POSITIVITY_LOST
+    assert [r.t for r in traj.records] == [0.0, sum(dts[:3])]
+    assert len(traj.snapshots) == 2
 
 
 def test_rk4_time_accuracy_vs_halved_step(grid_1d):

@@ -22,16 +22,16 @@ from riccidisk.grid import (
 
 def test_spec_validation_rejects_small_n_r():
     with pytest.raises(ConfigurationError):
-        GridSpec(4, 1).validate()
+        GridSpec(4, 1)
 
 
 def test_spec_validation_rejects_odd_n_theta():
     with pytest.raises(ConfigurationError):
-        GridSpec(32, 9).validate()
+        GridSpec(32, 9)
     with pytest.raises(ConfigurationError):
-        GridSpec(32, 4).validate()
-    GridSpec(32, 1).validate()
-    GridSpec(32, 10).validate()
+        GridSpec(32, 4)
+    GridSpec(32, 1)
+    GridSpec(32, 10)
 
 
 def test_nodes_are_cell_centered():

@@ -18,14 +18,14 @@ from riccidisk.initial_data import (
 
 def test_cap_params_validation():
     with pytest.raises(UsageError):
-        CapParams(-0.5).validate()
+        CapParams(-0.5)
     with pytest.raises(UsageError):
-        CapParams(0.0).validate()
+        CapParams(0.0)
 
 
 def test_nan_cap_parameter_rejected():
     with pytest.raises(UsageError):
-        CapParams(float("nan")).validate()
+        CapParams(float("nan"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -52,7 +52,7 @@ def test_cap_params_closed_forms():
 
 def test_perturbation_params_validation():
     with pytest.raises(UsageError):
-        PerturbationParams(0.1, -1).validate()
+        PerturbationParams(0.1, -1)
 
 
 def test_angular_mode_needs_2d_grid(grid_1d):
