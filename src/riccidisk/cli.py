@@ -129,15 +129,10 @@ def _initial_metric(cfg: ExperimentConfig):
     return perturbed_cap(cfg.cap, cfg.perturbation, build_grid(cfg.grid))
 
 
-def cmd_run(config_path: str) -> int:
-    try:
-        cfg = parse_config(config_path)
-        traj = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
-        rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in traj.records]
-        _write_lines(cfg.trajectory_csv, [",".join(CSV_COLUMNS)] + rows)
-    except RicciDiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_run(cfg: ExperimentConfig) -> int:
+    traj = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
+    rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in traj.records]
+    _write_lines(cfg.trajectory_csv, [",".join(CSV_COLUMNS)] + rows)
     if traj.termination is not Termination.COMPLETED:
         print(f"flow terminated early: {traj.termination.value}", file=sys.stderr)
         return EXIT_EARLY
@@ -157,24 +152,19 @@ def _require_checks(checks, known, unknown_message):
         raise ConfigurationError(f"{unknown_message}: {', '.join(unknown)}")
 
 
-def cmd_verify(config_path: str) -> int:
-    try:
-        cfg = parse_config(config_path)
-        _require_checks(cfg.checks, V.CHECKS, "unknown checks")
+def cmd_verify(cfg: ExperimentConfig) -> int:
+    _require_checks(cfg.checks, V.CHECKS, "unknown checks")
 
-        initial = _initial_metric(cfg)
-        traj = None
-        if any(V.CHECKS[c][0] for c in cfg.checks):
-            traj = run(initial, cfg.schedule, cfg.w_horizon)
-            if traj.termination is not Termination.COMPLETED:
-                print(f"flow terminated early: {traj.termination.value}", file=sys.stderr)
-                return EXIT_EARLY
+    initial = _initial_metric(cfg)
+    traj = None
+    if any(V.CHECKS[c][0] for c in cfg.checks):
+        traj = run(initial, cfg.schedule, cfg.w_horizon)
+        if traj.termination is not Termination.COMPLETED:
+            print(f"flow terminated early: {traj.termination.value}", file=sys.stderr)
+            return EXIT_EARLY
 
-        reports = [_run_check(c, initial, traj, cfg.w_horizon) for c in cfg.checks]
-        _write_lines(cfg.report_jsonl, [rep.to_json() for rep in reports])
-    except RicciDiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    reports = [_run_check(c, initial, traj, cfg.w_horizon) for c in cfg.checks]
+    _write_lines(cfg.report_jsonl, [rep.to_json() for rep in reports])
 
     ok = True
     for rep in reports:
@@ -186,21 +176,14 @@ def cmd_verify(config_path: str) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_convergence(config_path: str) -> int:
-    try:
-        cfg = parse_config(config_path)
-        _require_checks(cfg.checks, V.STUDIES, "no convergence study named")
-        lines = ["name,h,dt,err,observed_order"]
-        for name in cfg.checks:
-            rep = V.convergence_study(name, cfg.grid)
-            order = _fmt(rep.observed_order)
-            lines += [
-                f"{name},{_fmt(h)},{_fmt(dt)},{_fmt(err)},{order}" for h, dt, err in rep.levels
-            ]
-        _write_lines(cfg.trajectory_csv, lines)
-    except RicciDiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_convergence(cfg: ExperimentConfig) -> int:
+    _require_checks(cfg.checks, V.STUDIES, "no convergence study named")
+    lines = ["name,h,dt,err,observed_order"]
+    for name in cfg.checks:
+        rep = V.convergence_study(name, cfg.grid)
+        order = _fmt(rep.observed_order)
+        lines += [f"{name},{_fmt(h)},{_fmt(dt)},{_fmt(err)},{order}" for h, dt, err in rep.levels]
+    _write_lines(cfg.trajectory_csv, lines)
     return EXIT_OK
 
 
@@ -218,7 +201,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 is EXIT_EARLY
         raise SystemExit(EXIT_CONFIG if exc.code else EXIT_OK) from None
     handler = {"run": cmd_run, "verify": cmd_verify, "convergence": cmd_convergence}
-    return handler[args.command](args.config)
+    # the one place a typed package error becomes a message and exit 1
+    try:
+        return handler[args.command](parse_config(args.config))
+    except RicciDiskError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

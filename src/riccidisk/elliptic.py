@@ -44,18 +44,6 @@ BACKWARD_TOL = 1.0e-12
 CG_MAXITER = 8
 
 
-def _flux_coefficients(grid: PolarGrid):
-    """Face coefficients c_{i+1/2} (i < n_r - 1) and ring coefficients a_i.
-
-    c couples rings i and i+1 through the face r_i + dr/2; the r = 0 face
-    has zero area and the r = 1 face zero flux, so neither appears.  a
-    couples angular neighbours on ring i.
-    """
-    c = (grid.r[:-1] + 0.5 * grid.dr) * grid.dtheta / grid.dr
-    a = grid.dr / (grid.r * grid.dtheta)
-    return c, a
-
-
 @lru_cache(maxsize=8)
 def _operator(n_r: int, n_theta: int):
     """The exact preconditioner and ||A||_inf of the flat operator A.
@@ -73,7 +61,11 @@ def _operator(n_r: int, n_theta: int):
     row sum is 2 (c_{i-1/2} + c_{i+1/2} + 2 a_i [n_theta > 1]).
     """
     grid = build_grid(GridSpec(n_r, n_theta))
-    c, a = _flux_coefficients(grid)
+    # c_{i+1/2} (i < n_r - 1) couples rings i and i+1 through the face
+    # r_i + dr/2; the r = 0 face has zero area and the r = 1 face zero
+    # flux, so neither appears.  a_i couples angular neighbours on ring i.
+    c = grid.stencil[0][:-1, 0] * grid.dtheta / grid.dr
+    a = grid.dr / (grid.r * grid.dtheta)
 
     # Thomas factorization of every mode at once, shape (n_r, n_modes)
     s = np.zeros(n_r)  # c_{i-1/2} + c_{i+1/2}

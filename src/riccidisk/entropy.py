@@ -37,8 +37,7 @@ from .geometry import (
     EULER_CHARACTERISTIC,
     boundary_gradient_inner,
     gauss_bonnet_residual,
-    grad_diff_norm_sq,
-    metric_grad_norm_sq,
+    grad_norm_sq,
     shifted_hessian_norm_sq,
 )
 from .grid import (
@@ -85,7 +84,7 @@ def hamilton_entropy(m: ConformalMetric) -> float:
 def w_functional(m: ConformalMetric, tau: float) -> float:
     tau = _tau(tau)
     # (tau (R - |grad log R|^2) - log R - log tau) R, in place
-    integrand = metric_grad_norm_sq(m.log_R, m, grad=m.dlog_R)
+    integrand = grad_norm_sq(*m.dlog_R, m)
     np.subtract(m.R, integrand, out=integrand)
     integrand *= tau
     integrand -= m.log_R
@@ -102,7 +101,7 @@ def _potential_terms(m: ConformalMetric, f) -> tuple:
     """
     ghost = ghost_mirror(f)
     grad = gradient0(f, m.grid, ghost)
-    norm_sq = shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost, grad=grad)
+    norm_sq = shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), grad, ghost)
     return grad, integrate_volume(norm_sq, m)
 
 
@@ -117,7 +116,8 @@ def dE_dt_rhs(m: ConformalMetric, f, terms=None) -> float:
     ``terms`` is ``_potential_terms(m, f)`` when the caller has it.
     """
     grad_f, soliton_sq = _potential_terms(m, f) if terms is None else terms
-    integrand = grad_diff_norm_sq(grad_f, m.dlog_R, m)
+    (f_r, f_t), (l_r, l_t) = grad_f, m.dlog_R
+    integrand = grad_norm_sq(f_r - l_r, f_t - l_t, m)
     integrand *= m.R
     term1 = integrate_volume(integrand, m)
     term2 = 2.0 * soliton_sq
@@ -133,7 +133,7 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
     """
     tau = _tau(tau)
-    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau, grad=m.dlog_R)
+    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau, m.dlog_R)
     norm_sq *= m.R
     interior = 2.0 * tau * integrate_volume(norm_sq, m)
     R_b = boundary_value(m.R)
@@ -145,7 +145,7 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
 
 def dN_dt(m: ConformalMetric) -> float:
     """dN/dt in the integrated-by-parts form int (R - |grad log R|^2) R dv."""
-    integrand = metric_grad_norm_sq(m.log_R, m, grad=m.dlog_R)
+    integrand = grad_norm_sq(*m.dlog_R, m)
     np.subtract(m.R, integrand, out=integrand)
     integrand *= m.R
     return integrate_volume(integrand, m)

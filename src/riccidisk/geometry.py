@@ -150,7 +150,7 @@ def geodesic_curvature(m: ConformalMetric):
     return np.exp(-0.5 * u_b) * (1.0 + 0.5 * du)
 
 
-def hessian(f, m: ConformalMetric, ghost=None, grad=None):
+def hessian(f, m: ConformalMetric, grad, ghost=None):
     """Covariant Hessian of f in polar coordinates, as (H_rr, H_rt, H_tt).
 
     Components are dd_ij f - Gamma^k_ij d_k f with the Christoffel symbols
@@ -160,14 +160,15 @@ def hessian(f, m: ConformalMetric, ghost=None, grad=None):
         H_rt = f_rt - u_t f_r / 2 - (1/r + u_r / 2) f_t
         H_tt = f_tt + (r + r^2 u_r / 2) f_r - u_t f_t / 2
 
-    ``grad`` is ``gradient0(f, m.grid, ghost)`` when the caller has it.
-    Each product is formed in place in the order of these formulas, so the
-    components are bit-identical to evaluating the expressions as written.
+    ``grad`` is ``gradient0(f, m.grid, ghost)``, which the caller shares
+    with its other terms.  Each product is formed in place in the order of
+    these formulas, so the components are bit-identical to evaluating the
+    expressions as written.
     """
     g = m.grid
     r = g.r[:, None]
     u_r, u_t = m.du
-    f_r, f_t = gradient0(f, g, ghost) if grad is None else grad
+    f_r, f_t = grad
     h_rr = d2_r(f, g, ghost)
     h_rt = d_theta(f_r, g)
     h_tt = d2_theta(f, g)
@@ -196,7 +197,7 @@ def hessian(f, m: ConformalMetric, ghost=None, grad=None):
     return h_rr, h_rt, h_tt
 
 
-def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None, grad=None):
+def shifted_hessian_norm_sq(f, m: ConformalMetric, c, grad, ghost=None):
     """|T|^2_g = exp(-2u)(T_rr^2 + 2 T_rt^2 / r^2 + T_tt^2 / r^4) of T = Hess f + c g.
 
     c is a scalar or a pointwise field.  This is the norm of every
@@ -204,7 +205,7 @@ def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None, grad=None):
     R/2 - 1/(2 tau) for W, R/2 for d^2 N/dt^2 and 0 for the Reilly formula.
     ``grad`` is as in :func:`hessian`.
     """
-    t_rr, t_rt, t_tt = hessian(f, m, ghost=ghost, grad=grad)
+    t_rr, t_rt, t_tt = hessian(f, m, grad, ghost)
     r2 = m.grid.r[:, None] ** 2
     cg = c * m.exp_u
     t_rr += cg
@@ -222,25 +223,12 @@ def shifted_hessian_norm_sq(f, m: ConformalMetric, c, ghost=None, grad=None):
     return t_rr
 
 
-def metric_grad_norm_sq(f, m: ConformalMetric, ghost=None, grad=None):
-    """|grad f|^2_g = exp(-u)(f_r^2 + f_t^2 / r^2), pointwise nonnegative.
+def grad_norm_sq(v_r, v_t, m: ConformalMetric):
+    """|v|^2_g = exp(-u)(v_r^2 + v_t^2 / r^2) of flat coordinate components.
 
-    ``grad`` is as in :func:`hessian`.
+    (v_r, v_t) is a flat gradient ``gradient0(f, m.grid)`` for |grad f|^2_g,
+    or a difference of two for |grad a - grad b|^2_g; pointwise nonnegative.
     """
-    f_r, f_t = gradient0(f, m.grid, ghost) if grad is None else grad
-    return _flat_norm_sq(f_r, f_t, m)
-
-
-def grad_diff_norm_sq(grad_a, grad_b, m: ConformalMetric):
-    """|grad a - grad b|^2_g from the flat derivative pairs of a and b.
-
-    Used for the |grad f - grad log R|^2 integrand.
-    """
-    return _flat_norm_sq(grad_a[0] - grad_b[0], grad_a[1] - grad_b[1], m)
-
-
-def _flat_norm_sq(v_r, v_t, m: ConformalMetric):
-    """exp(-u)(v_r^2 + v_t^2 / r^2) of flat coordinate components."""
     out = v_t**2
     out /= m.grid.r[:, None] ** 2
     out += v_r**2

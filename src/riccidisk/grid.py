@@ -55,7 +55,6 @@ class PolarGrid:
     r: np.ndarray        # (n_r,)
     theta: np.ndarray    # (n_theta,)
     w_vol: np.ndarray    # (n_r, n_theta), flat measure r dr dtheta
-    w_bdry: np.ndarray   # (n_theta,), flat arc measure at r = 1
     stencil: tuple       # flux-Laplacian coefficients, _kernels.flux_stencil
 
     @property
@@ -77,9 +76,8 @@ def build_grid(spec: GridSpec) -> PolarGrid:
             f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
             f"({n_r * n_t * 8:,} bytes per field)"
         ) from None
-    w_bdry = np.full(n_t, dtheta)
     stencil = _kernels.flux_stencil(r, dr, dtheta)
-    return PolarGrid(n_r, n_t, dr, dtheta, r, theta, w_vol, w_bdry, stencil)
+    return PolarGrid(n_r, n_t, dr, dtheta, r, theta, w_vol, stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +205,5 @@ def integrate_volume(phi, metric):
 
 def integrate_boundary(psi, metric):
     """Integral of a boundary field against ds = exp(u/2) dtheta at r = 1."""
-    grid = metric.grid
     u_b = boundary_value(metric.u)
-    return _kernels.kahan_sum(psi * np.exp(0.5 * u_b) * grid.w_bdry)
+    return _kernels.kahan_sum(psi * np.exp(0.5 * u_b) * metric.grid.dtheta)

@@ -16,11 +16,10 @@ instead of forcing a mesh-width boundary layer into R.
 """
 
 from dataclasses import dataclass
-from math import pi
 
 import numpy as np
 
-from .errors import AmplitudeError, CompatibilityError, UsageError
+from .errors import AmplitudeError, CompatibilityError, PositivityError, UsageError
 from .flow import enforce_curvature_neumann
 from .geometry import ConformalMetric, make_metric, scalar_curvature
 from .grid import (
@@ -39,14 +38,6 @@ class CapParams:
     def __post_init__(self):
         if not self.c > 0.0:  # NaN fails too
             raise UsageError(f"cap parameter c must be positive, got {self.c}")
-
-    @property
-    def kappa(self):
-        return 0.5 * (1.0 - self.c)
-
-    @property
-    def volume(self):
-        return 4.0 * pi / (1.0 + self.c)
 
 
 @dataclass(frozen=True)
@@ -80,7 +71,8 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
     """Cap plus a compatibility-projected angular perturbation.
 
     Raises AmplitudeError (with the bisected maximal admissible amplitude)
-    when the requested epsilon destroys curvature positivity.
+    when the requested epsilon destroys curvature positivity, and
+    PositivityError when the unperturbed cap has none on the grid.
     """
     if p.mode > grid.n_theta // 2:
         raise UsageError(f"angular mode {p.mode} is above n_theta // 2 = {grid.n_theta // 2}")
@@ -96,6 +88,13 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
     m = build(p.epsilon)
     if float(m.R.min()) > 0.0:
         return m
+    cap = m if p.epsilon == 0.0 else build(0.0)
+    cap_min_r = float(cap.R.min())
+    if not cap_min_r > 0.0:  # NaN fails too
+        raise PositivityError(
+            f"cap c = {base.c} has no positive curvature on this grid: min R = {cap_min_r:.3e}",
+            min_r=cap_min_r,
+        )
 
     # bisect for the largest admissible amplitude to report in the error
     lo, hi = 0.0, abs(p.epsilon)

@@ -25,9 +25,9 @@ from .geometry import (
     ConformalMetric,
     boundary_gradient_inner,
     boundary_laplacian,
+    grad_norm_sq,
     laplace_beltrami,
     make_metric,
-    metric_grad_norm_sq,
     normal_derivative,
     scalar_curvature,
     shifted_hessian_norm_sq,
@@ -37,6 +37,7 @@ from .grid import (
     PolarGrid,
     boundary_value,
     build_grid,
+    gradient0,
     integrate_boundary,
     integrate_volume,
     radial_derivative_at_boundary_interior,
@@ -80,10 +81,6 @@ class IdentityReport:
 class ConvergenceReport:
     levels: list              # (h, dt, err) triples, coarse to fine
     observed_order: float
-
-    def __post_init__(self):
-        if len(self.levels) < 3:
-            raise UsageError("a convergence report needs at least 3 levels")
 
 
 def grid_h(grid: PolarGrid) -> float:
@@ -186,8 +183,9 @@ def check_reilly(m: ConformalMetric, f) -> IdentityReport:
     """
     lap_f = laplace_beltrami(f, m)
     R = m.R
-    grad_sq = metric_grad_norm_sq(f, m)
-    hess_sq = shifted_hessian_norm_sq(f, m, 0.0)
+    grad = gradient0(f, m.grid)
+    grad_sq = grad_norm_sq(*grad, m)
+    hess_sq = shifted_hessian_norm_sq(f, m, 0.0, grad)
     lhs = integrate_volume(lap_f**2 - 0.5 * R * grad_sq - hess_sq, m)
     f_b = boundary_value(f)
     f_nu = normal_derivative(f, m)
@@ -226,7 +224,7 @@ def check_lemma_useful(m: ConformalMetric, f) -> IdentityReport:
     Both sides are boundary fields; the report takes the node where the
     pointwise residual is largest, so abs_err is the max-norm residual.
     """
-    grad_sq = metric_grad_norm_sq(f, m)
+    grad_sq = grad_norm_sq(*gradient0(f, m.grid), m)
     u_b = boundary_value(m.u)
     left = np.exp(-0.5 * u_b) * _extract_cubic(grad_sq, m.grid, deriv=1)
 
@@ -326,6 +324,9 @@ def check_normal_lemmas(traj) -> IdentityReport:
         on the boundary; checked by centered FD of the recorded u trace;
     (b) |d_r (lap R)| at r = 1 on the final snapshot, which converges to 0
         at first order (one-sided third-derivative estimate).
+
+    With today's 2-D initial data the flux of (b) does not converge under
+    refinement (ROADMAP item C); ``perfbench/workloads.KNOWN_FAILURES`` lists it.
     """
     k, h1, h2 = _probe(traj)
     snaps = traj.snapshots
@@ -361,7 +362,7 @@ def check_second_derivative_N(traj) -> IdentityReport:
     """
     lhs, k, dt, grid = _ddt(traj, "N_partial", fd=_fd2)
     m = traj.snapshots[k].metric
-    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R)
+    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R, m.dlog_R)
     db = boundary_value(m.log_R)
     rhs = 2.0 * integrate_volume(m.R * norm_sq, m) + 2.0 * integrate_boundary(
         m.kappa * boundary_value(m.R) * boundary_gradient_inner(db, db, m), m
@@ -475,15 +476,12 @@ STUDIES = {
 }
 
 
-def convergence_study(name: str, base: GridSpec, n_levels: int = 3) -> ConvergenceReport:
-    """Run a named check over successively refined grids and fit the order."""
-    if n_levels < 3:
-        raise UsageError("a convergence study needs at least 3 levels")
+def convergence_study(name: str, base: GridSpec) -> ConvergenceReport:
+    """Run a named check on the base grid refined by 1, 2 and 4; fit the order."""
     if name not in STUDIES:
         raise UsageError(f"no convergence study named {name!r}")
     levels = []
-    for lvl in range(n_levels):
-        factor = 2**lvl
+    for factor in (1, 2, 4):
         spec = GridSpec(
             base.n_r * factor, 1 if base.n_theta == 1 else base.n_theta * factor
         )

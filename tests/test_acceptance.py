@@ -7,7 +7,7 @@ explicit absolute thresholds stated with it.
 
 import numpy as np
 
-from riccidisk.cli import EXIT_OK, cmd_run
+from riccidisk.cli import EXIT_OK, main
 from riccidisk.entropy import hamilton_entropy
 from riccidisk.flow import FlowSchedule, cfl_dt, run
 from riccidisk.geometry import geodesic_curvature, make_metric
@@ -218,8 +218,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
         )
         + "\n"
     )
-    ok = cmd_run(str(cfg)) == EXIT_OK
+    ok = main(["run", str(cfg)]) == EXIT_OK
     first = csv.read_bytes()
-    ok = ok and cmd_run(str(cfg)) == EXIT_OK
+    ok = ok and main(["run", str(cfg)]) == EXIT_OK
     ok = ok and csv.read_bytes() == first
     _verdict(capsys, 8, "byte-identical reruns", ok)

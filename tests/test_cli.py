@@ -17,9 +17,6 @@ from riccidisk.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     KEYS,
-    cmd_convergence,
-    cmd_run,
-    cmd_verify,
     main,
     parse_config,
 )
@@ -183,7 +180,7 @@ def test_cmd_run_rejects_non_utf8_config(tmp_path, capsys):
 
 def test_cmd_run_writes_trajectory(tmp_path):
     cfg = _write_config(tmp_path / "c.cfg")
-    assert cmd_run(str(cfg)) == EXIT_OK
+    assert main(["run", str(cfg)]) == EXIT_OK
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0].split(",") == [
         "t", "tau", "v_M", "R_bar", "min_R",
@@ -222,7 +219,7 @@ def test_cmd_run_imports_no_scipy(tmp_path):
 
 def test_cmd_run_config_error_exit(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.cfg", **{"initial.cap_c": -1.0})
-    assert cmd_run(str(cfg)) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
 
 
@@ -230,7 +227,7 @@ def test_cmd_run_excessive_amplitude(tmp_path):
     cfg = _write_config(
         tmp_path / "c.cfg", **{"initial.cap_c": 0.3, "initial.eps": 30.0}
     )
-    assert cmd_run(str(cfg)) == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -272,7 +269,7 @@ def test_cmd_verify_full_suite(tmp_path):
             "verify.checks": checks,
         },
     )
-    assert cmd_verify(str(cfg)) == EXIT_OK
+    assert main(["verify", str(cfg)]) == EXIT_OK
     report = (tmp_path / "report.jsonl").read_text().splitlines()
     assert len(report) == 12
 
@@ -280,7 +277,7 @@ def test_cmd_verify_full_suite(tmp_path):
 def test_cmd_run_early_stop_writes_last_accepted_state(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(riccidisk.flow, "MAX_STEPS", 3)
     cfg = _write_config(tmp_path / "c.cfg", **{"schedule.record_every": 10})
-    assert cmd_run(str(cfg)) == EXIT_EARLY
+    assert main(["run", str(cfg)]) == EXIT_EARLY
     assert "flow terminated early: step_limit" in capsys.readouterr().err
     rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
     assert len(rows) == 2
@@ -291,7 +288,7 @@ def test_cmd_run_early_stop_writes_last_accepted_state(tmp_path, capsys, monkeyp
 def test_cmd_verify_exits_early_when_flow_terminates(tmp_path, capsys, monkeypatch, cause):
     monkeypatch.setattr(riccidisk.cli, "run", lambda *args: FlowTrajectory(termination=cause))
     cfg = _write_config(tmp_path / "c.cfg", **{"verify.checks": "hamilton, relation"})
-    assert cmd_verify(str(cfg)) == EXIT_EARLY
+    assert main(["verify", str(cfg)]) == EXIT_EARLY
     assert f"flow terminated early: {cause.value}" in capsys.readouterr().err
     assert not (tmp_path / "report.jsonl").exists()
 
@@ -364,9 +361,9 @@ def test_unresolved_angular_mode_is_a_config_error(tmp_path, capsys):
 
 def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):
     cfg = _write_config(tmp_path / "e.cfg", **{"verify.checks": ""})
-    assert cmd_verify(str(cfg)) == EXIT_CONFIG
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
     cfg = _write_config(tmp_path / "u.cfg", **{"verify.checks": "nope"})
-    assert cmd_verify(str(cfg)) == EXIT_CONFIG
+    assert main(["verify", str(cfg)]) == EXIT_CONFIG
 
 
 def test_cmd_verify_flags_passing_negative_control(tmp_path, monkeypatch):
@@ -381,7 +378,7 @@ def test_cmd_verify_flags_passing_negative_control(tmp_path, monkeypatch):
     cfg = _write_config(
         tmp_path / "c.cfg", **{"verify.checks": "negctrl_incompatible_bc"}
     )
-    assert cmd_verify(str(cfg)) == EXIT_VERIFY
+    assert main(["verify", str(cfg)]) == EXIT_VERIFY
 
 
 def test_cmd_convergence(tmp_path):
@@ -389,7 +386,7 @@ def test_cmd_convergence(tmp_path):
         tmp_path / "c.cfg",
         **{"grid.n_r": 32, "grid.n_theta": 16, "verify.checks": "reilly"},
     )
-    assert cmd_convergence(str(cfg)) == EXIT_OK
+    assert main(["convergence", str(cfg)]) == EXIT_OK
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0] == "name,h,dt,err,observed_order"
     assert len(lines) == 4
@@ -399,14 +396,14 @@ def test_cmd_convergence(tmp_path):
 
 def test_cmd_convergence_unknown_study(tmp_path):
     cfg = _write_config(tmp_path / "c.cfg", **{"verify.checks": "guo"})
-    assert cmd_convergence(str(cfg)) == EXIT_CONFIG
+    assert main(["convergence", str(cfg)]) == EXIT_CONFIG
 
 
 def test_run_is_deterministic(tmp_path):
     a = _write_config(tmp_path / "a.cfg")
-    assert cmd_run(str(a)) == EXIT_OK
+    assert main(["run", str(a)]) == EXIT_OK
     first = (tmp_path / "traj.csv").read_bytes()
-    assert cmd_run(str(a)) == EXIT_OK
+    assert main(["run", str(a)]) == EXIT_OK
     assert (tmp_path / "traj.csv").read_bytes() == first
 
 

@@ -21,9 +21,8 @@ from riccidisk.geometry import (
     ConformalMetric,
     boundary_gradient_inner,
     gauss_bonnet_residual,
-    grad_diff_norm_sq,
+    grad_norm_sq,
     make_metric,
-    metric_grad_norm_sq,
     shifted_hessian_norm_sq,
 )
 from riccidisk.grid import (
@@ -109,19 +108,21 @@ def _reference_rates(m, f, tau):
     ghost = ghost_mirror(f)
     grad_f = (d_r(f, g, ghost), d_theta(f, g))
     grad_log_r = (d_r(log_r, g), d_theta(log_r, g))
-    w_integrand = (tau * (m.R - metric_grad_norm_sq(log_r, m)) - log_r - log(tau)) * m.R
+    w_integrand = (tau * (m.R - grad_norm_sq(*grad_log_r, m)) - log_r - log(tau)) * m.R
     w = integrate_volume(w_integrand, m) - 2.0 * log(tau) * m.int_kappa
 
     soliton_sq = integrate_volume(
-        shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), ghost=ghost), m
+        shifted_hessian_norm_sq(f, m, 0.5 * (m.R - m.R_bar), grad_f, ghost), m
     )
     f_b = boundary_value(f)
     de_dt = -(
-        integrate_volume(m.R * grad_diff_norm_sq(grad_f, grad_log_r, m), m)
+        integrate_volume(
+            m.R * grad_norm_sq(grad_f[0] - grad_log_r[0], grad_f[1] - grad_log_r[1], m), m
+        )
         + 2.0 * soliton_sq
     ) - 2.0 * integrate_boundary(m.kappa * boundary_gradient_inner(f_b, f_b, m), m)
 
-    guo_sq = shifted_hessian_norm_sq(log_r, m, 0.5 * m.R - 0.5 / tau)
+    guo_sq = shifted_hessian_norm_sq(log_r, m, 0.5 * m.R - 0.5 / tau, grad_log_r)
     r_b, log_r_b = boundary_value(m.R), boundary_value(log_r)
     bnd = m.kappa * (r_b * boundary_gradient_inner(log_r_b, log_r_b, m) + 1.0 / tau**2)
     dw_dt = 2.0 * tau * integrate_volume(m.R * guo_sq, m) + 2.0 * tau * integrate_boundary(

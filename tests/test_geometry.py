@@ -10,11 +10,10 @@ from riccidisk.geometry import (
     boundary_laplacian,
     gauss_bonnet_residual,
     geodesic_curvature,
-    grad_diff_norm_sq,
+    grad_norm_sq,
     hessian,
     laplace_beltrami,
     make_metric,
-    metric_grad_norm_sq,
     normal_derivative,
     scalar_curvature,
     shifted_hessian_norm_sq,
@@ -137,7 +136,7 @@ def test_cached_factors_and_derivatives_match_fresh_calls(n_theta, mode):
 def test_hessian_trace_is_laplacian(hemisphere_2d):
     g = hemisphere_2d.grid
     f = (g.r**2)[:, None] * np.cos(2.0 * g.theta)[None, :]
-    h_rr, _, h_tt = hessian(f, hemisphere_2d)
+    h_rr, _, h_tt = hessian(f, hemisphere_2d, gradient0(f, g))
     e_u = np.exp(hemisphere_2d.u)
     trace = (h_rr + h_tt / g.r[:, None] ** 2) / e_u
     lap = laplace_beltrami(f, hemisphere_2d)
@@ -147,7 +146,7 @@ def test_hessian_trace_is_laplacian(hemisphere_2d):
 def test_flat_hessian_of_linear_function_vanishes(flat_2d):
     g = flat_2d.grid
     f = g.r[:, None] * np.cos(g.theta)[None, :]
-    h_rr, h_rt, h_tt = hessian(f, flat_2d)
+    h_rr, h_rt, h_tt = hessian(f, flat_2d, gradient0(f, g))
     assert np.max(np.abs(h_rr)) < 1e-9
     interior = slice(1, -1)
     assert np.max(np.abs(h_rt[interior])) < 1e-9
@@ -158,13 +157,15 @@ def test_flat_hessian_of_linear_function_vanishes(flat_2d):
 def test_metric_grad_norm_flat(flat_2d):
     g = flat_2d.grid
     f = np.broadcast_to((g.r**2)[:, None], (g.n_r, g.n_theta)).copy()
-    grad_sq = metric_grad_norm_sq(f, flat_2d)
+    grad_sq = grad_norm_sq(*gradient0(f, g), flat_2d)
     assert np.max(np.abs(grad_sq - 4.0 * g.r[:, None] ** 2)) < 1e-10
 
 
 def test_metric_tensor_norm_is_dimension(hemisphere_2d):
     # Hess 0 + 1 g = g, whose squared norm is the dimension
-    norm_sq = shifted_hessian_norm_sq(np.zeros_like(hemisphere_2d.u), hemisphere_2d, 1.0)
+    zero = np.zeros_like(hemisphere_2d.u)
+    grad = gradient0(zero, hemisphere_2d.grid)
+    norm_sq = shifted_hessian_norm_sq(zero, hemisphere_2d, 1.0, grad)
     assert np.max(np.abs(norm_sq - 2.0)) < 1e-12
 
 
@@ -206,18 +207,17 @@ def test_shifted_hessian_norm_matches_reference(n_theta, pointwise_c, mirrored):
     c = 0.5 * (m.R - m.R_bar) if pointwise_c else -0.75
     ghost = ghost_mirror(f) if mirrored else None
     expected = _shifted_hessian_norm_sq_reference(f, m, c, ghost=ghost)
-    assert np.array_equal(shifted_hessian_norm_sq(f, m, c, ghost=ghost), expected)
     grad = gradient0(f, g, ghost)
-    assert np.array_equal(shifted_hessian_norm_sq(f, m, c, ghost=ghost, grad=grad), expected)
-    for got, want in zip(hessian(f, m, ghost=ghost), _hessian_reference(f, m, ghost=ghost)):
+    assert np.array_equal(shifted_hessian_norm_sq(f, m, c, grad, ghost), expected)
+    for got, want in zip(hessian(f, m, grad, ghost), _hessian_reference(f, m, ghost=ghost)):
         assert np.array_equal(got, want)
+    # the plain formula, for a gradient and for a gradient difference
     f_r, f_t = grad
     grad_sq = np.exp(-m.u) * (f_r**2 + f_t**2 / g.r[:, None] ** 2)
-    assert np.array_equal(metric_grad_norm_sq(f, m, ghost=ghost), grad_sq)
-    assert np.array_equal(metric_grad_norm_sq(f, m, grad=grad), grad_sq)
+    assert np.array_equal(grad_norm_sq(f_r, f_t, m), grad_sq)
     u_r, u_t = gradient0(m.u, g)
     diff_sq = np.exp(-m.u) * ((f_r - u_r) ** 2 + (f_t - u_t) ** 2 / g.r[:, None] ** 2)
-    assert np.array_equal(grad_diff_norm_sq(grad, (u_r, u_t), m), diff_sq)
+    assert np.array_equal(grad_norm_sq(f_r - u_r, f_t - u_t, m), diff_sq)
 
 
 def test_normal_derivative_flat(flat_2d):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from riccidisk import initial_data
-from riccidisk.errors import AmplitudeError, CompatibilityError, UsageError
+from riccidisk.errors import AmplitudeError, CompatibilityError, PositivityError, UsageError
 from riccidisk.geometry import make_metric, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import (
@@ -41,13 +41,6 @@ def test_projection_rejects_singular_jacobian(grid_2d, monkeypatch):
     monkeypatch.setattr(initial_data, "_smooth_residual", lambda u, grid: np.ones(grid.n_theta))
     with pytest.raises(CompatibilityError, match="singular"):
         project_compatibility(spherical_cap(CapParams(0.5), grid_2d))
-
-
-def test_cap_params_closed_forms():
-    p = CapParams(0.5)
-    assert p.kappa == pytest.approx(0.25)
-    assert p.volume == pytest.approx(8.0 * np.pi / 3.0)
-    assert CapParams(1.0).kappa == 0.0
 
 
 def test_perturbation_params_validation():
@@ -107,6 +100,15 @@ def test_excessive_amplitude_reports_admissible_range(grid_2d):
     with pytest.raises(AmplitudeError) as exc:
         perturbed_cap(CapParams(0.3), PerturbationParams(30.0, 2), grid_2d)
     assert 0.0 < exc.value.max_epsilon < 30.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_cap_without_positive_curvature_is_not_blamed_on_epsilon(grid_2d, eps):
+    # 2 c r^2 is below the rounding of log 4, so the discrete R of the
+    # unperturbed cap is not positive whatever epsilon is
+    with pytest.raises(PositivityError, match="cap c = 1e-14") as exc:
+        perturbed_cap(CapParams(1e-14), PerturbationParams(eps, 2), grid_2d)
+    assert not exc.value.min_r > 0.0
 
 
 def test_perturbed_cap_positive_curvature(grid_2d):

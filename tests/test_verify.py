@@ -3,12 +3,12 @@ import json
 import pytest
 
 import riccidisk.entropy
+import riccidisk.grid
 from riccidisk.errors import UsageError
 from riccidisk.flow import FlowSchedule, run
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 from riccidisk.verify import (
-    ConvergenceReport,
     check_avg_evolution,
     check_kappa_evolution,
     check_lemma_time2,
@@ -20,6 +20,7 @@ from riccidisk.verify import (
     check_theorem_guo,
     check_theorem_hamilton,
     convergence_study,
+    grid_h,
     manufactured_fields,
     negctrl_incompatible_bc,
     negctrl_relation_corrupt,
@@ -57,6 +58,23 @@ def test_reilly_and_lemma_useful_all_fields(hemisphere_2d, flat_2d):
         for name, f in manufactured_fields(m.grid).items():
             assert check_reilly(m, f).passed, name
             assert check_lemma_useful(m, f).passed, name
+
+
+def test_reilly_differentiates_f_once(grid_2d, monkeypatch):
+    # the gradient of f is shared by |grad f|^2 and Hess f; u's is cached
+    m = spherical_cap(CapParams(0.5), grid_2d)
+    m.du
+    calls = []
+    d_r = riccidisk.grid.d_r
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return d_r(*args, **kwargs)
+
+    monkeypatch.setattr(riccidisk.grid, "d_r", counted)
+    f = manufactured_fields(grid_2d)["mode2"]
+    assert check_reilly(m, f).passed
+    assert len(calls) == 1 and calls[0] is f
 
 
 def test_lemma_time2_on_compatible_metric(grid_2d):
@@ -112,20 +130,22 @@ def test_report_json_keys(grid_1d):
 
 
 def test_convergence_study_reilly():
-    rep = convergence_study("reilly", GridSpec(32, 16), n_levels=3)
+    rep = convergence_study("reilly", GridSpec(32, 16))
     assert rep.observed_order > 1.5
     assert rep.levels[0][2] > rep.levels[-1][2]
 
 
 def test_convergence_study_lemma_time2():
-    rep = convergence_study("lemma_time2", GridSpec(32, 1), n_levels=3)
+    rep = convergence_study("lemma_time2", GridSpec(32, 1))
     assert rep.observed_order > 1.5
+
+
+def test_convergence_study_refines_by_1_2_and_4():
+    rep = convergence_study("reilly", GridSpec(32, 16))
+    expected = [grid_h(build_grid(GridSpec(32 * k, 16 * k))) for k in (1, 2, 4)]
+    assert [h for h, _, _ in rep.levels] == expected
 
 
 def test_convergence_study_validation():
     with pytest.raises(UsageError):
-        convergence_study("reilly", GridSpec(32, 16), n_levels=2)
-    with pytest.raises(UsageError):
-        convergence_study("nonsense", GridSpec(32, 16), n_levels=3)
-    with pytest.raises(UsageError):
-        ConvergenceReport([(0.1, 0.0, 1.0)], 2.0)
+        convergence_study("nonsense", GridSpec(32, 16))
