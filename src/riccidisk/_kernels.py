@@ -3,10 +3,12 @@
 Every RK4 stage calls the ghost closure, which returns the curvature it
 closes along with the ghost ring, so a stage costs one flux-Laplacian
 pass.  The kernels are written to cost their arithmetic and little else:
-the grid-constant stencil coefficients come precomputed from
-:func:`flux_stencil` (built once per grid), and periodic neighbours in
-theta come from :func:`roll_theta` (two slice copies; ``np.roll`` spends
-microseconds of Python per call whatever the array size).
+the grid-constant stencil coefficients come precomputed (the columns of
+:func:`flux_stencil`, copied once per grid into full planes, so that
+every operation runs on contiguous arrays of one shape instead of
+broadcasting a column), and periodic neighbours in theta come from
+:func:`roll_theta` (two slice copies; ``np.roll`` spends microseconds of
+Python per call whatever the array size).
 
 Reductions are exactly rounded (:func:`kahan_sum`), so they do not depend
 on summation order and results are bit-reproducible across runs.  A large
@@ -15,7 +17,8 @@ array is summed exactly in numpy, per binary exponent, and rounded once;
 
 Array conventions: scalar fields are float64 arrays of shape (n_r, n_theta),
 of any strides; ghost rings and boundary fields have shape (n_theta,);
-stencil coefficients are (n_r, 1) columns.
+stencil coefficients are (n_r, n_theta) planes (``PolarGrid.stencil``),
+or any arrays that broadcast to the field's shape.
 """
 
 import math
@@ -112,7 +115,10 @@ def flux_stencil(r, dr, dtheta):
 
     Returns (r + dr/2, r - dr/2, r dr^2, r^2 dtheta^2): the outer and inner
     face radii (the inner one zero at the pole, which closes the inner
-    edge) and the radial and angular denominators.
+    edge) and the radial and angular denominators.  ``build_grid`` copies
+    each column across theta into the (n_r, n_theta) planes the kernels
+    take; an operation against a plane costs what a contiguous operation
+    costs, one against a column several times that.
     """
     r_out = r + 0.5 * dr
     r_in = r - 0.5 * dr
@@ -137,7 +143,7 @@ def theta_term(phi, denom, out=None):
 def flux_laplacian(phi, ghost, r_out, r_in, r_dr2, r2_dtheta2):
     """Flat polar Laplacian in conservative flux form.
 
-    The coefficients are the columns of :func:`flux_stencil`.  Zero flux
+    The coefficients are the planes of ``PolarGrid.stencil``.  Zero flux
     area at the pole closes the inner edge; ``ghost`` supplies the value
     ring at r = 1 + dr/2.
     """
@@ -171,11 +177,12 @@ def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
     """Ghost ring of u enforcing the discrete curvature Neumann condition, and R.
 
     Returns ``(ghost, R)``, with R bit-identical to ``curvature(u, ghost,
-    ...)``: every element goes through the same operations in the same
-    order.  The outward derivative of R at r=1 is extrapolated from the
-    last three interior rings; only R on the outermost ring depends on the
-    ghost, and it does so linearly, so the closure is a direct per-node
-    solve once R on the other rings is known.
+    ...)`` up to the sign of a zero: R is built as exp(-u) (-lap0 u) with
+    -lap0 u formed term by term, and IEEE negation is exact, so no pass
+    negates a field.  The outward derivative of R at r=1 is extrapolated
+    from the last three interior rings; only R on the outermost ring
+    depends on the ghost, and it does so linearly, so the closure is a
+    direct per-node solve once R on the other rings is known.
     """
     n_r, n_t = u.shape
     # jump[k] = u[k] - u[k - 1] across the face below ring k, zero below
@@ -184,27 +191,30 @@ def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
     jump = np.empty((n_r, n_t))
     jump[0] = u[0]
     np.subtract(u[1:], u[:-1], out=jump[1:])
-    inner = r_out[:-1] * jump[1:]    # rings 0 .. n-2: no ghost
+    outward = r_out[:-1] * jump[1:]    # rings 0 .. n-2: no ghost
     # jump is then the inward flux r_in jump, the closure's last term
-    inner -= np.multiply(r_in, jump, out=jump)[:-1]
-    inner /= r_dr2[:-1]
+    inward = np.multiply(r_in, jump, out=jump)
+    # -lap0 u on rings 0 .. n-2, term by term, in the outward flux's array
+    neg_lap = np.subtract(inward[:-1], outward, out=outward)
+    neg_lap /= r_dr2[:-1]
     if n_t > 1:
         ang = theta_term(u, r2_dtheta2)
-        inner += ang[:-1]
+        neg_lap -= ang[:-1]
     R = np.exp(-u)
-    np.negative(R, out=R)
-    R[:-1] *= inner
-    r_target = 1.5 * R[-2] - 0.5 * R[-3]
+    R[:-1] *= neg_lap
 
-    lap_target = -r_target * np.exp(u[-1])
+    # the last ring, out of place: on a short row an in-place ufunc costs
+    # more than a new array
+    r_target = 1.5 * R[-2] - 0.5 * R[-3]
+    u_b = u[-1]
+    # the radial part of -lap0 u that gives the last ring the target R
+    neg_radial = r_target * np.exp(u_b)
     if n_t > 1:
-        lap_target -= ang[-1]
+        neg_radial = neg_radial + ang[-1]
     # the outer face radius of the last ring is 1
-    ghost = u[-1] + r_dr2[-1, 0] * lap_target + jump[-1]
-    last = r_out[-1] * (ghost - u[-1])
-    last -= jump[-1]
-    last /= r_dr2[-1]
+    ghost = u_b - r_dr2[-1] * neg_radial + inward[-1]
+    last = (inward[-1] - r_out[-1] * (ghost - u_b)) / r_dr2[-1]
     if n_t > 1:
-        last += ang[-1]
-    R[-1] *= last
+        last = last - ang[-1]
+    R[-1] = R[-1] * last
     return ghost, R

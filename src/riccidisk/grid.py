@@ -55,7 +55,9 @@ class PolarGrid:
     r: np.ndarray        # (n_r,)
     theta: np.ndarray    # (n_theta,)
     w_vol: np.ndarray    # (n_r, n_theta), flat measure r dr dtheta
-    stencil: tuple       # flux-Laplacian coefficients, _kernels.flux_stencil
+    # flux-Laplacian coefficients: the columns of _kernels.flux_stencil as
+    # C-contiguous (n_r, n_theta) planes, so no stage broadcasts a column
+    stencil: tuple
 
     @property
     def spec(self):
@@ -70,13 +72,19 @@ def build_grid(spec: GridSpec) -> PolarGrid:
         r = (np.arange(n_r) + 0.5) * dr
         theta = np.arange(n_t) * dtheta
         w_vol = np.broadcast_to((r * dr * dtheta)[:, None], (n_r, n_t)).copy()
+        stencil = tuple(
+            np.broadcast_to(c, (n_r, n_t)).copy()
+            for c in _kernels.flux_stencil(r, dr, dtheta)
+        )
     # ValueError: beyond numpy's size limits; OverflowError: beyond a float
     except (MemoryError, ValueError, OverflowError):
         raise ConfigurationError(
             f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
             f"({n_r * n_t * 8:,} bytes per field)"
         ) from None
-    stencil = _kernels.flux_stencil(r, dr, dtheta)
+    # every metric on the grid shares these: a write into one must fail
+    for a in (r, theta, w_vol, *stencil):
+        a.flags.writeable = False
     return PolarGrid(n_r, n_t, dr, dtheta, r, theta, w_vol, stencil)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccidisk import _kernels, flow
 from riccidisk.errors import (
@@ -68,6 +70,31 @@ def _ref_step(s, dt):
 def test_cfl_scales_with_safety(hemisphere_1d):
     assert cfl_dt(hemisphere_1d, 0.4) == pytest.approx(0.5 * cfl_dt(hemisphere_1d, 0.8))
     assert cfl_dt(hemisphere_1d, 0.8) > 0.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n_theta=st.sampled_from([1, 8]),
+    base=st.one_of(
+        st.floats(-745.0, 709.0), st.floats(690.0, 709.0), st.floats(-745.0, -690.0)
+    ),
+    kind=st.sampled_from(["ulps", "spread"]),
+    spread=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cfl_bound_is_the_min_of_the_exp_field(n_theta, base, kind, spread, seed):
+    # cfl_dt exponentiates min u, not the field: the same double exactly
+    # when numpy's exp is monotone, which neighbours a few ulps apart test
+    g = build_grid(GridSpec(8, n_theta))
+    rng = np.random.default_rng(seed)
+    if kind == "ulps":
+        offsets = np.spacing(base) * rng.integers(-3, 4, (8, n_theta))
+    else:
+        offsets = spread * rng.uniform(-1.0, 1.0, (8, n_theta))
+    u = np.minimum(base + offsets, 709.0)
+    m = make_metric(u, g)
+    for s in (0.8, 1.0):
+        assert cfl_dt(m, s) == _ref_cfl_dt(m, s)
 
 
 def test_zero_step_is_identity(hemisphere_1d):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riccidisk._kernels import kahan_sum
+from riccidisk._kernels import flux_stencil, kahan_sum
 from riccidisk.errors import ConfigurationError
 from riccidisk.grid import (
     GridSpec,
@@ -39,6 +39,25 @@ def test_nodes_are_cell_centered():
     assert g.r[0] == pytest.approx(0.5 / 16)
     assert g.r[-1] == pytest.approx(1.0 - 0.5 / 16)
     assert g.theta[0] == 0.0
+
+
+@pytest.mark.parametrize("n_theta", [1, 8])
+def test_grid_constants_are_read_only(n_theta):
+    # every metric on a grid shares its constants, so a write must fail
+    g = build_grid(GridSpec(16, n_theta))
+    for a in (g.r, g.theta, g.w_vol, *g.stencil):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1.0
+
+
+def test_stencil_planes_are_contiguous_copies_of_the_columns():
+    g = build_grid(GridSpec(16, 8))
+    columns = flux_stencil(g.r, g.dr, g.dtheta)
+    for plane, column in zip(g.stencil, columns, strict=True):
+        assert plane.shape == (16, 8) and plane.flags.c_contiguous
+        assert np.array_equal(plane, np.broadcast_to(column, plane.shape))
 
 
 def test_flat_quadrature_is_exact_for_disk_area():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riccidisk import _kernels as K
 from riccidisk.grid import GridSpec, build_grid
+from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
 
 # Reference kernels: the np.roll formulation the fast kernels replace, kept
@@ -69,6 +70,37 @@ def _ref_curvature_neumann_ghost(u, r, dr, dtheta):
             r[i] ** 2 * dtheta * dtheta
         )
     return u[i] + r[i] * dr * dr * (lap_target - ang) + rm * (u[i] - u[i - 1])
+
+
+def _ref_column_closure(u, r_out, r_in, r_dr2, r2_dtheta2):
+    """The closure on (n_r, 1) stencil columns, with R negated in a pass of
+    its own: the form the plane kernel replaces, kept as its oracle."""
+    n_r, n_t = u.shape
+    jump = np.empty((n_r, n_t))
+    jump[0] = u[0]
+    np.subtract(u[1:], u[:-1], out=jump[1:])
+    inner = r_out[:-1] * jump[1:]
+    inner -= np.multiply(r_in, jump, out=jump)[:-1]
+    inner /= r_dr2[:-1]
+    if n_t > 1:
+        ang = K.theta_term(u, r2_dtheta2)
+        inner += ang[:-1]
+    R = np.exp(-u)
+    np.negative(R, out=R)
+    R[:-1] *= inner
+    r_target = 1.5 * R[-2] - 0.5 * R[-3]
+
+    lap_target = -r_target * np.exp(u[-1])
+    if n_t > 1:
+        lap_target -= ang[-1]
+    ghost = u[-1] + r_dr2[-1, 0] * lap_target + jump[-1]
+    last = r_out[-1] * (ghost - u[-1])
+    last -= jump[-1]
+    last /= r_dr2[-1]
+    if n_t > 1:
+        last += ang[-1]
+    R[-1] *= last
+    return ghost, R
 
 
 def _sample(seed=0, n_r=48, n_theta=24):
@@ -203,3 +235,23 @@ def test_kernels_match_roll_oracle(n_r, n_theta, seed):
     for shift in (-1, 1, n_theta // 2):
         assert np.array_equal(K.roll_theta(u, shift), np.roll(u, shift, axis=1))
         assert np.array_equal(K.roll_theta(ghost, shift), np.roll(ghost, shift))
+
+
+@pytest.mark.parametrize(
+    "n_r, n_theta", [(128, 1), (39, 24), (40, 24), (64, 32), (128, 64)]
+)
+@pytest.mark.parametrize("field", ["cap", "perturbed_cap", "random"])
+def test_plane_closure_matches_column_closure(n_r, n_theta, field):
+    # the outer face radius of the last ring rounds to 1 - 2^-53 on 39 rings
+    # and to 1 on the others
+    g = build_grid(GridSpec(n_r, n_theta))
+    if field == "cap":
+        u = spherical_cap(CapParams(0.5), g).u
+    elif field == "perturbed_cap":
+        u = perturbed_cap(CapParams(0.7), PerturbationParams(0.04, min(3, n_theta // 2)), g).u
+    else:
+        u = np.random.default_rng(n_r * n_theta).uniform(-1.0, 1.0, (n_r, n_theta))
+    ghost, R = K.curvature_neumann_ghost(u, *g.stencil)
+    ref_ghost, ref_R = _ref_column_closure(u, *K.flux_stencil(g.r, g.dr, g.dtheta))
+    assert np.array_equal(ghost, ref_ghost)
+    assert np.array_equal(R, ref_R)
