@@ -77,15 +77,35 @@ def rhs(m: ConformalMetric):
 
 
 def cfl_dt(m: ConformalMetric, safety: float) -> float:
-    """Explicit stability bound dt = safety * min(e^u) * min(dr, r_min dth)^2 / 4.
+    """Forward-Euler bound of the flow operator, dt = safety * min(e^u) * 2 / rho.
+
+    The flow linearizes to d_t u = e^(-u) lap0 u.  On ring i the flux
+    Laplacian's row has the diagonal 2 / dr^2 + 2 / (r_i dth)^2, since
+    (r_out + r_in) / (r_i dr^2) = 2 / dr^2 (on the pole ring too, where
+    r_in = 0 and r_out = 2 r_0), and off-diagonal entries of the same
+    total, so its Gershgorin disc reaches 4 / dr^2 + 4 / (r_i dth)^2.  The
+    pole ring has the smallest r, so
+
+        rho = 4 / dr^2 + 4 / (r_0 dth)^2,
+
+    without the angular term in 1-D.  Forward Euler is stable for
+    dt e^(-u) rho <= 2, and RK4, whose interval on the negative real axis
+    is [-2.785, 0], for 1.39 times more.  The last ring's row, with the
+    ghost the curvature closure solves for, is not a Gershgorin row of
+    this form; the stability test in ``tests/test_flow.py`` runs this
+    bound for 2,000 steps in 1-D and 2-D.
 
     min(e^u) is taken as e^(min u), which is the same double while numpy's
     exp is monotone, without an exp of the whole field on a step that
-    takes no record.
+    takes no record.  At safety 1 and u = 709 the product e^u * 2 is still
+    finite.
     """
     g = m.grid
-    h = min(g.dr, g.r[0] * g.dtheta)
-    return safety * float(np.exp(m.u.min())) * h * h / 4.0
+    rho = 4.0 / (g.dr * g.dr)
+    if g.n_theta > 1:
+        h = g.r[0] * g.dtheta
+        rho += 4.0 / (h * h)
+    return safety * float(np.exp(m.u.min())) * 2.0 / rho
 
 
 def step(s: FlowState, dt: float) -> FlowState:

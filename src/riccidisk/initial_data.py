@@ -140,6 +140,39 @@ def _smooth_residual(u, grid):
     return radial_derivative_at_boundary_interior(R, grid)
 
 
+def _colours(n_t):
+    """Columns of the ring in groups whose members lie at least 3 apart.
+
+    j mod 3 colours the first 3 (n_t // 3) columns; the one or two columns
+    left over take a colour each, so there are at most 5 groups.
+    """
+    m = 3 * (n_t // 3)
+    return [np.arange(c, m, 3) for c in range(min(3, m))] + [
+        np.array([j]) for j in range(m, n_t)
+    ]
+
+
+def _jacobian(base_u, res, profile, grid):
+    """Forward-difference Jacobian of the residual w.r.t. psi, by column colouring.
+
+    Residual j reads u only in the columns j-1, j, j+1, so columns at
+    least 3 apart can share one bumped residual evaluation: each row of it
+    sees a single bumped column, the same inputs as a bump of that column
+    alone, so every entry is the double the column-by-column loop gives
+    (and the rows outside the band are that loop's exact zeros).
+    """
+    n_t = grid.n_theta
+    jac = np.zeros((n_t, n_t))
+    h = 1.0e-7
+    for cols in _colours(n_t):
+        bump = np.zeros(n_t)
+        bump[cols] = h
+        diff = (_smooth_residual(base_u + bump[None, :] * profile, grid) - res) / h
+        rows = (cols[:, None] + np.array([-1, 0, 1])) % n_t
+        jac[rows, cols[:, None]] = diff[rows]
+    return jac
+
+
 def project_compatibility(m: ConformalMetric):
     """Minimal smooth correction making the metric discretely compatible.
 
@@ -167,15 +200,7 @@ def project_compatibility(m: ConformalMetric):
             )
         if res_max <= tol:
             break
-        # dense Jacobian w.r.t. psi; coupling is short-range in theta
-        n_t = grid.n_theta
-        jac = np.empty((n_t, n_t))
-        h = 1.0e-7
-        base_u = m.u + psi[None, :] * profile
-        for j in range(n_t):
-            bump = np.zeros(n_t)
-            bump[j] = h
-            jac[:, j] = (_smooth_residual(base_u + bump[None, :] * profile, grid) - res) / h
+        jac = _jacobian(m.u + psi[None, :] * profile, res, profile, grid)
         if not np.isfinite(jac).all():
             raise CompatibilityError(
                 "compatibility Jacobian is not finite", residual=res_max

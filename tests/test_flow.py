@@ -48,9 +48,10 @@ def _ref_rhs(m):
 
 
 def _ref_cfl_dt(m, safety):
+    # forward Euler on the pole ring's Gershgorin bound, from the exp field
     g = m.grid
-    h = min(g.dr, g.r[0] * g.dtheta)
-    return safety * float(np.exp(m.u).min()) * h * h / 4.0
+    rho = 4.0 / g.dr**2 + (4.0 / (g.r[0] * g.dtheta) ** 2 if g.n_theta > 1 else 0.0)
+    return safety * float(np.exp(m.u).min()) * 2.0 / rho
 
 
 def _ref_step(s, dt):
@@ -95,6 +96,59 @@ def test_cfl_bound_is_the_min_of_the_exp_field(n_theta, base, kind, spread, seed
     m = make_metric(u, g)
     for s in (0.8, 1.0):
         assert cfl_dt(m, s) == _ref_cfl_dt(m, s)
+        assert np.isfinite(cfl_dt(m, s))
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(128, 1), (100, 1), (8, 8), (32, 16), (64, 32), (128, 64)])
+def test_cfl_bound_over_the_square_grid_bound(n_r, n_theta):
+    # against min(dr, r_0 dth)^2 / 4, the forward-Euler bound of a square
+    # grid of spacing h: twice it in 1-D, where no angular term exists, and
+    # 2 / (1 + (r_0 dth / dr)^2) in 2-D, with r_0 dth / dr = pi / n_theta
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = spherical_cap(CapParams(0.5), g)
+    h = min(g.dr, g.r[0] * g.dtheta)
+    ratio = cfl_dt(m, 0.8) / (0.8 * float(np.exp(m.u.min())) * h * h / 4.0)
+    if n_theta == 1:
+        assert ratio == pytest.approx(2.0, rel=1e-14)
+    else:
+        assert 1.7 < ratio < 2.0
+
+
+def _steps_at(m, factor, n_steps):
+    """``n_steps`` RK4 steps of ``factor`` times the bound at safety 1."""
+    s = FlowState(0.0, m)
+    for _ in range(n_steps):
+        s = step(s, factor * cfl_dt(s.metric, 1.0))
+    return s
+
+
+def test_cfl_bound_is_stable_with_the_closure_row(grid_1d):
+    # the Gershgorin bound leaves the closed last ring out; 2,000 steps at
+    # safety 1 neither lose positivity nor let min R fall (d_t R = lap R +
+    # R^2 >= 0 at the minimum), while twice the bound loses positivity
+    # within a few dozen steps
+    hemisphere = spherical_cap(CapParams(1.0), grid_1d)
+    cap = perturbed_cap(
+        CapParams(0.5), PerturbationParams(0.05, 2), build_grid(GridSpec(32, 16))
+    )
+    ends = [_steps_at(m, 1.0, 2000) for m in (hemisphere, cap)]
+    for m, s in zip((hemisphere, cap), ends):
+        assert float(s.metric.R.min()) >= float(m.R.min())
+    # and the hemisphere is still on R(t) = 2 / (1 - 2t)
+    s = ends[0]
+    assert np.max(np.abs(s.metric.R - 2.0 / (1.0 - 2.0 * s.t))) < 2e-3
+    with pytest.raises(PositivityError):
+        _steps_at(hemisphere, 2.0, 2000)
+
+
+def test_cfl_bound_has_the_accuracy_of_half_the_bound(grid_1d):
+    m0 = spherical_cap(CapParams(1.0), grid_1d)
+    finals = [
+        run(m0, FlowSchedule(t_end=0.05, cfl_safety=s, record_every=10**6), 0.5).snapshots[-1]
+        for s in (1.0, 0.5)
+    ]
+    assert finals[0].t == finals[1].t == 0.05
+    assert np.max(np.abs(finals[0].metric.u - finals[1].metric.u)) < 1e-11
 
 
 def test_zero_step_is_identity(hemisphere_1d):
