@@ -2,7 +2,7 @@
 
 A numerical laboratory for the boundary-aware entropy functionals of 2-d
 Ricci flow: conformal metrics g = exp(u) g0 on a polar grid, an explicit
-RK4 flow integrator with a ghost-ring boundary closure, Hamilton- and
+SSP-RK3 flow integrator with a ghost-ring boundary closure, Hamilton- and
 Guo-type entropies, and an independent verification suite for every
 monotonicity formula the package implements.
 """
