@@ -199,6 +199,7 @@ def entropy_euler_form(traj) -> list:
     chi = EULER_CHARACTERISTIC
     if not traj.snapshots:
         raise DomainError("trajectory has no snapshots")
+    traj.require_every_snapshot("entropy_euler_form")
     v0 = traj.records[0].v_M
     if abs(v0 - 4.0 * pi * chi) > 0.01 * 4.0 * pi * chi:
         raise DomainError(

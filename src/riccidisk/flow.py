@@ -56,6 +56,19 @@ class FlowTrajectory:
     records: list = field(default_factory=list)     # list[EntropyRecord]
     termination: Termination = Termination.COMPLETED
 
+    def require_every_snapshot(self, reader: str) -> None:
+        """Raise ``UsageError`` unless a snapshot is held for every record.
+
+        A trajectory run with ``keep_every_snapshot=False`` holds only its
+        ends; a reader of the snapshots between them cannot use it.
+        """
+        if len(self.snapshots) < len(self.records):
+            raise UsageError(
+                f"{reader} reads a snapshot per record, but the trajectory holds "
+                f"{len(self.snapshots)} snapshots for {len(self.records)} records; "
+                "run the flow with keep_every_snapshot=True"
+            )
+
 
 def enforce_curvature_neumann(u, grid) -> ConformalMetric:
     """The metric exp(u) g0 with its ghost ring set so that d_r R(1) = 0.
@@ -160,15 +173,29 @@ def step(s: FlowState, dt: float) -> FlowState:
     return FlowState(s.t + dt, m)
 
 
-def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> FlowTrajectory:
+def run(
+    initial: ConformalMetric,
+    sched: FlowSchedule,
+    w_horizon: float,
+    keep_every_snapshot: bool = True,
+) -> FlowTrajectory:
     """Integrate to t_end (or early termination), recording entropy data.
 
     Records are taken at t = 0, every ``record_every`` accepted steps, and
     at the final accepted state, also when the run stops early (after
-    ``MAX_STEPS`` steps or at a step that loses positivity); snapshots are
-    stored alongside each record.  A snapshot shares u and the ghost ring
-    with the state it was taken from but none of its cached curvature, so
-    it costs u plus its ghost.
+    ``MAX_STEPS`` steps or at a step that loses positivity).  A snapshot
+    shares u and the ghost ring with the state it was taken from but none
+    of its cached curvature, so it costs u plus its ghost.
+
+    With ``keep_every_snapshot`` (the default) a snapshot is stored
+    alongside each record; the time-differencing checks of
+    ``riccidisk verify`` read snapshots between the ends, so ``cmd_verify``
+    and the tests keep them.  Without it the trajectory holds two
+    snapshots however many records it takes, the first and the latest,
+    which replaces its predecessor at each record; ``riccidisk run`` and
+    the flow convergence studies read only records and the ends, so they
+    run this way.  Records, their times and the termination do not depend
+    on the mode.
     """
     if not w_horizon > sched.t_end:  # NaN fails too
         raise UsageError(
@@ -186,8 +213,12 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
 
     def record(st):
         m = st.metric
-        traj.snapshots.append(FlowState(st.t, ConformalMetric(m.u, m.grid, m.u_ghost)))
-        traj.records.append(entropy.make_record(st.metric, st.t, w_horizon))
+        snap = FlowState(st.t, ConformalMetric(m.u, m.grid, m.u_ghost))
+        if keep_every_snapshot or len(traj.snapshots) < 2:
+            traj.snapshots.append(snap)
+        else:
+            traj.snapshots[-1] = snap
+        traj.records.append(entropy.make_record(m, st.t, w_horizon))
 
     record(state)
     steps = 0
@@ -205,6 +236,6 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
         if steps % sched.record_every == 0 or state.t >= sched.t_end * (1.0 - 1e-14):
             record(state)
 
-    if traj.snapshots[-1].t < state.t:  # an early stop between record steps
+    if traj.records[-1].t < state.t:  # an early stop between record steps
         record(state)
     return traj

@@ -148,11 +148,13 @@ def _ddt(traj, field, fd=_fd1):
     """FD time derivative of a record field at the probe record.
 
     Returns ``(value, k, dt, grid)``: the derivative, the probe index, the
-    larger of the two spacings around it and the snapshot's grid.
+    larger of the two spacings around it and the grid.  It reads records
+    only (the grid is the first snapshot's), so it works on a trajectory
+    that keeps only its ends.
     """
     k, h1, h2 = _probe(traj)
     ym, y0, yp = (getattr(r, field) for r in traj.records[k - 1 : k + 2])
-    return fd(ym, y0, yp, h1, h2), k, max(h1, h2), traj.snapshots[k].metric.grid
+    return fd(ym, y0, yp, h1, h2), k, max(h1, h2), traj.snapshots[0].metric.grid
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,7 @@ def check_kappa_evolution(traj) -> IdentityReport:
     """
     if len(traj.records) < 2:
         raise UsageError("kappa evolution needs at least 2 records")
+    traj.require_every_snapshot("kappa_evolution")
     ts = np.array([s.t for s in traj.snapshots])
     R_b = np.array(
         [boundary_value(scalar_curvature(s.metric)) for s in traj.snapshots]
@@ -328,6 +331,7 @@ def check_normal_lemmas(traj) -> IdentityReport:
     With today's 2-D initial data the flux of (b) does not converge under
     refinement (ROADMAP item C); ``perfbench/workloads.KNOWN_FAILURES`` lists it.
     """
+    traj.require_every_snapshot("normal_lemmas")
     k, h1, h2 = _probe(traj)
     snaps = traj.snapshots
     nu = [np.exp(-0.5 * boundary_value(s.metric.u)) for s in (snaps[k - 1], snaps[k], snaps[k + 1])]
@@ -360,6 +364,7 @@ def check_second_derivative_N(traj) -> IdentityReport:
     Also checks the first-derivative form dN/dt = int ((lap R) log R + R^2) dv
     as part of the pass criterion.
     """
+    traj.require_every_snapshot("second_derivative_N")
     lhs, k, dt, grid = _ddt(traj, "N_partial", fd=_fd2)
     m = traj.snapshots[k].metric
     norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R, m.dlog_R)
@@ -454,13 +459,20 @@ def _hemisphere(grid):
     return spherical_cap(CapParams(1.0), grid)
 
 
+# the flow studies read records only, so their runs keep two snapshots
 def _study_entropy_constancy(grid):
-    traj = run(_hemisphere(grid), FlowSchedule(t_end=0.01, record_every=5), w_horizon=0.5)
+    traj = run(
+        _hemisphere(grid), FlowSchedule(t_end=0.01, record_every=5), w_horizon=0.5,
+        keep_every_snapshot=False,
+    )
     return max(abs(r.E_partial) for r in traj.records), traj.records[1].t
 
 
 def _study_hamilton(grid):
-    traj = run(_cap_study_metric(grid), FlowSchedule(t_end=0.005, record_every=5), w_horizon=0.5)
+    traj = run(
+        _cap_study_metric(grid), FlowSchedule(t_end=0.005, record_every=5), w_horizon=0.5,
+        keep_every_snapshot=False,
+    )
     return check_theorem_hamilton(traj).abs_err, traj.records[1].t
 
 

@@ -16,12 +16,15 @@ from riccidisk.cli import (
     EXIT_EARLY,
     EXIT_OK,
     EXIT_VERIFY,
+    CSV_COLUMNS,
     KEYS,
+    _fmt,
+    _initial_metric,
     main,
     parse_config,
 )
 from riccidisk.errors import ConfigurationError, RicciDiskError, UsageError
-from riccidisk.flow import FlowSchedule, FlowTrajectory, Termination
+from riccidisk.flow import FlowSchedule, FlowTrajectory, Termination, run
 from riccidisk.grid import GridSpec
 from riccidisk.initial_data import CapParams, PerturbationParams
 
@@ -427,3 +430,31 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == EXIT_OK
     assert "usage:" in capsys.readouterr().out
+
+
+def test_cmd_run_writes_the_records_of_a_full_run(tmp_path, monkeypatch):
+    path = _write_config(
+        tmp_path / "c.cfg",
+        **{
+            "grid.n_theta": 8,
+            "initial.cap_c": 0.5,
+            "initial.eps": 0.05,
+            "initial.mode": 2,
+            "schedule.t_end": 3.0e-4,
+            "schedule.record_every": 2,
+        },
+    )
+    runs = []
+
+    def spy(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(riccidisk.cli, "run", spy)
+    assert main(["run", str(path)]) == EXIT_OK
+    cfg = parse_config(str(path))
+    full = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
+    assert len(full.records) > 3
+    assert [len(traj.snapshots) for traj in runs] == [2]
+    rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in full.records]
+    assert (tmp_path / "traj.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)] + rows

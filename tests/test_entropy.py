@@ -15,7 +15,7 @@ from riccidisk.entropy import (
     soliton_residual_L2,
     w_functional,
 )
-from riccidisk.errors import DomainError
+from riccidisk.errors import DomainError, UsageError
 from riccidisk.flow import FlowSchedule, run
 from riccidisk.geometry import (
     ConformalMetric,
@@ -231,3 +231,13 @@ def test_euler_form_matches_entropy(grid_1d):
     vals = entropy_euler_form(traj)
     errs = [abs(v - r.E_partial) for v, r in zip(vals, traj.records)]
     assert max(errs) < 5e-4
+
+
+def test_euler_form_rejects_an_ends_only_trajectory(grid_1d):
+    m = spherical_cap(CapParams(0.5), grid_1d, normalize_volume=True)
+    traj = run(
+        m, FlowSchedule(t_end=0.005, record_every=50), w_horizon=0.5, keep_every_snapshot=False
+    )
+    assert len(traj.snapshots) == 2 < len(traj.records)
+    with pytest.raises(UsageError, match="keep_every_snapshot"):
+        entropy_euler_form(traj)

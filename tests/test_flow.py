@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -414,3 +416,97 @@ def test_step_fails_like_reference_step(grid_2d, case, error):
             fn(FlowState(0.0, m), dt)
         raised.append(type(info.value))
     assert raised == [error, error]
+
+
+# A run that keeps only its ends: same records, two snapshots
+
+
+def _assert_same_state(snap, state):
+    assert snap.t == state.t
+    assert np.array_equal(snap.metric.u, state.metric.u)
+    assert np.array_equal(snap.metric.u_ghost, state.metric.u_ghost)
+
+
+@pytest.mark.parametrize("n_r, n_theta, mode", [(128, 1, 0), (64, 32, 2), (128, 64, 3)])
+def test_ends_only_run_has_the_records_of_a_full_run(n_r, n_theta, mode):
+    m0 = _start(n_r, n_theta, mode)
+    sched = FlowSchedule(t_end=7.5 * cfl_dt(m0, 0.8), record_every=2)
+    full = run(m0, sched, w_horizon=0.5)
+    ends = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+    assert len(full.records) == 5
+    assert ends.records == full.records
+    assert ends.termination is full.termination is Termination.COMPLETED
+    assert len(ends.snapshots) == 2
+    _assert_same_state(ends.snapshots[0], full.snapshots[0])
+    _assert_same_state(ends.snapshots[-1], full.snapshots[-1])
+
+
+@pytest.mark.parametrize("record_every", [1, 2, 10])
+def test_ends_only_step_limit_keeps_the_last_state(grid_1d, monkeypatch, record_every):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    m0 = spherical_cap(CapParams(0.5), grid_1d)
+    sched = FlowSchedule(t_end=0.1, record_every=record_every)
+    full = run(m0, sched, w_horizon=0.5)
+    traj = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+    s = FlowState(0.0, m0)
+    for _ in range(3):
+        s = step(s, cfl_dt(s.metric, 0.8))
+    assert traj.termination is Termination.STEP_LIMIT
+    assert traj.records == full.records
+    assert traj.records[-1].t == s.t
+    assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
+    assert np.array_equal(traj.snapshots[0].metric.u, m0.u)
+    _assert_same_state(traj.snapshots[-1], s)
+
+
+@pytest.mark.parametrize("record_every", [1, 2, 3, 10])
+def test_ends_only_positivity_loss_keeps_the_last_accepted_state(
+    grid_1d, monkeypatch, record_every
+):
+    m0 = spherical_cap(CapParams(0.5), grid_1d)
+    sched = FlowSchedule(t_end=0.1, record_every=record_every)
+
+    def run_failing_at_step_4(keep_every_snapshot):
+        dts = []
+
+        def failing_step(s, dt):
+            dts.append(dt)
+            if len(dts) == 4:
+                raise PositivityError("min R is not positive", min_r=-1.0)
+            return step(s, dt)
+
+        monkeypatch.setattr(flow, "step", failing_step)
+        return run(m0, sched, 0.5, keep_every_snapshot=keep_every_snapshot), dts
+
+    full, _ = run_failing_at_step_4(True)
+    traj, dts = run_failing_at_step_4(False)
+    s = FlowState(0.0, m0)
+    for dt in dts[:3]:
+        s = step(s, dt)
+    assert traj.termination is Termination.POSITIVITY_LOST
+    assert traj.records == full.records
+    assert traj.records[-1].t == s.t
+    assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
+    _assert_same_state(traj.snapshots[-1], s)
+
+
+def test_ends_only_run_memory_does_not_grow_with_records(grid_2d, monkeypatch):
+    # tracemalloc sees numpy's buffers.  Each extra record adds the record
+    # itself (about 0.7 KB); a snapshot per record would add 16.6 KB.
+    m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
+    sched = FlowSchedule(t_end=0.01, record_every=1)
+
+    def traced_peak(n_records):
+        monkeypatch.setattr(flow, "MAX_STEPS", n_records - 1)
+        tracemalloc.start()
+        try:
+            traj = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.records) == n_records
+        return peak
+
+    traced_peak(3)  # fills the caches that outlive a run
+    per_record = (traced_peak(200) - traced_peak(20)) / 180
+    assert per_record < 2048

@@ -4,8 +4,9 @@ import pytest
 
 import riccidisk.entropy
 import riccidisk.grid
+import riccidisk.verify
 from riccidisk.errors import UsageError
-from riccidisk.flow import FlowSchedule, run
+from riccidisk.flow import FlowSchedule, cfl_dt, run
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 from riccidisk.verify import (
@@ -149,3 +150,49 @@ def test_convergence_study_refines_by_1_2_and_4():
 def test_convergence_study_validation():
     with pytest.raises(UsageError):
         convergence_study("nonsense", GridSpec(32, 16))
+
+
+# trajectories that keep only their first and latest snapshot
+
+
+def test_record_checks_agree_on_an_ends_only_trajectory(pert_traj):
+    m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 0), build_grid(GridSpec(128, 1)))
+    ends = run(
+        m0, FlowSchedule(t_end=0.02, record_every=100), w_horizon=0.5, keep_every_snapshot=False
+    )
+    assert len(ends.snapshots) == 2 < len(ends.records)
+    for check in (check_theorem_hamilton, check_theorem_guo, check_avg_evolution):
+        assert check(ends) == check(pert_traj)
+
+
+@pytest.mark.parametrize(
+    "check", [check_kappa_evolution, check_normal_lemmas, check_second_derivative_N]
+)
+def test_snapshot_readers_reject_an_ends_only_trajectory(grid_1d, check):
+    # three records: the middle snapshot is gone, and index 1 of the two
+    # kept is the final state, not the probe's
+    m0 = spherical_cap(CapParams(0.5), grid_1d)
+    sched = FlowSchedule(t_end=1.5 * cfl_dt(m0, 0.8), record_every=1)
+    check(run(m0, sched, w_horizon=0.5))
+    ends = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+    assert len(ends.records) == 3 and len(ends.snapshots) == 2
+    with pytest.raises(UsageError, match="keep_every_snapshot"):
+        check(ends)
+
+
+@pytest.mark.parametrize(
+    "name, base", [("hamilton", GridSpec(16, 8)), ("entropy_constancy", GridSpec(16, 1))]
+)
+def test_flow_studies_keep_two_snapshots_and_their_numbers(monkeypatch, name, base):
+    ends = convergence_study(name, base)
+    modes = []
+
+    def run_keeping_every_snapshot(initial, sched, w_horizon, keep_every_snapshot=True):
+        modes.append(keep_every_snapshot)
+        return run(initial, sched, w_horizon)
+
+    monkeypatch.setattr(riccidisk.verify, "run", run_keeping_every_snapshot)
+    full = convergence_study(name, base)
+    assert modes == [False, False, False]
+    assert full.levels == ends.levels
+    assert full.observed_order == ends.observed_order
