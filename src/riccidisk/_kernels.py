@@ -1,6 +1,6 @@
 """Hot numeric kernels for the flow inner loop, vectorized with numpy.
 
-Every SSP-RK3 stage calls the ghost closure, which returns the curvature it
+Every RKL2 stage calls the ghost closure, which returns the curvature it
 closes along with the ghost ring, so a stage costs one flux-Laplacian
 pass.  The kernels are written to cost their arithmetic and little else:
 the grid-constant stencil coefficients come precomputed (the columns of

@@ -1,15 +1,17 @@
 """Time integration of the conformal Ricci flow d_t u = -R on the disk.
 
 The curvature Neumann condition R_nu = 0 is imposed through the ghost ring
-of u before every right-hand-side evaluation; the three-stage SSP-RK3
-method of Shu and Osher advances the interior values at the forward-Euler
-bound of the discrete operator.  Positivity of R is a standing hypothesis
-and is monitored (never clamped): a violating step is rolled back and the
-trajectory terminates.
+of u before every right-hand-side evaluation; second-order
+Runge-Kutta-Legendre super-steps advance the interior values, each
+covering several steps at the forward-Euler bound of the discrete
+operator.  Positivity of R is a standing hypothesis and is monitored
+(never clamped): a violating super-step is rolled back and the trajectory
+terminates.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -30,9 +32,13 @@ class FlowState:
     metric: ConformalMetric
 
 
-# a run that has not reached t_end after this many accepted steps stops
-# with Termination.STEP_LIMIT
+# a run that has not reached t_end after this many accepted super-steps
+# stops with Termination.STEP_LIMIT
 MAX_STEPS = 10_000_000
+
+# the most stages of one super-step, which then covers (8^2 + 8 - 2) / 4 =
+# 17.5 forward-Euler steps; see :func:`run` for why it is capped
+MAX_STAGES = 8
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,11 @@ def cfl_dt(m: ConformalMetric, safety: float) -> float:
         rho = 4 / dr^2 + 4 / (r_0 dth)^2,
 
     without the angular term in 1-D.  Forward Euler is stable for
-    dt e^(-u) rho <= 2.  The SSP-RK3 step has SSP coefficient 1, so at
-    this dt it keeps every norm and convex bound that forward Euler keeps,
-    and its interval on the negative real axis, [-2.51, 0], holds the
-    bound 1.26 times over.  The last ring's row, with the ghost the
-    curvature closure solves for, is not a Gershgorin row of this form;
-    the stability test in ``tests/test_flow.py`` runs this bound for
-    2,000 steps in 1-D and 2-D.
+    dt e^(-u) rho <= 2, and an RKL2 super-step of s stages for up to
+    (s^2 + s - 2) / 4 times this dt.  The last ring's row, with the ghost
+    the curvature closure solves for, is not a Gershgorin row of this
+    form; the stability test in ``tests/test_flow.py`` runs 2,000 steps'
+    worth of this bound in 8-stage super-steps in 1-D and 2-D.
 
     min(e^u) is taken as e^(min u), which is the same double while numpy's
     exp is monotone, without an exp of the whole field on a step that
@@ -124,46 +128,84 @@ def cfl_dt(m: ConformalMetric, safety: float) -> float:
     return safety * float(np.exp(m.u.min())) * 2.0 / rho
 
 
-def step(s: FlowState, dt: float) -> FlowState:
-    """One SSP-RK3 step with the boundary closure re-enforced at every stage.
+def _stages(n: float) -> int:
+    """The fewest stages s >= 2 of a super-step of n forward-Euler steps."""
+    s = 2
+    while s * s + s - 2 < 4.0 * n:
+        s += 1
+    return s
 
-    The Shu-Osher form, with k(u) = -R of the closed metric of u:
 
-        u1 = u0 + dt k(u0)
-        u2 = 3/4 u0 + 1/4 (u1 + dt k(u1))
-        u3 = 1/3 u0 + 2/3 (u2 + dt k(u2))
+@cache
+def _rkl2_coefficients(stages: int):
+    """``(mu~_1, rows)``, a row ``(mu, nu, 1 - mu - nu, mu~, gamma~)`` per stage j >= 2.
 
-    Each stage is a convex combination of forward-Euler steps, so the step
-    is stable up to the forward-Euler bound that :func:`cfl_dt` returns
-    (SSP coefficient 1; Shu & Osher, J. Comput. Phys. 77 (1988) 439-471;
-    Gottlieb, Shu & Tadmor, SIAM Rev. 43 (2001) 89-112), and third order,
-    which at a step proportional to h^2 leaves the time error far below
-    the space error.
+    With b_j = (j^2 + j - 2) / (2 j (j + 1)) for j >= 2, b_0 = b_1 = 1/3
+    and w_1 = 4 / (s^2 + s - 2):
+
+        mu~_1 = b_1 w_1,   mu_j = (2j - 1) / j  b_j / b_{j-1},
+        nu_j = -(j - 1) / j  b_j / b_{j-2},
+        mu~_j = mu_j w_1,   gamma~_j = -(1 - b_{j-1}) mu~_j.
+    """
+
+    def b(j):
+        return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+    w1 = 4.0 / (stages * stages + stages - 2)
+    rows = []
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b(j) / b(j - 1)
+        nu = -(j - 1) / j * b(j) / b(j - 2)
+        mu_t = mu * w1
+        rows.append((mu, nu, 1.0 - mu - nu, mu_t, -(1.0 - b(j - 1)) * mu_t))
+    return b(1) * w1, tuple(rows)
+
+
+def step(s: FlowState, dt: float, stages: int) -> FlowState:
+    """One RKL2 super-step of ``stages`` stages, the boundary closed at each.
+
+    The second-order Runge-Kutta-Legendre method (Meyer, Balsara & Aslam,
+    J. Comput. Phys. 257 (2014) 594-626), with L(u) = -R of the closed
+    metric of u, Y_0 = u0 and the coefficients of
+    :func:`_rkl2_coefficients`:
+
+        Y_1 = Y_0 + mu~_1 dt L(Y_0)
+        Y_j = mu_j Y_{j-1} + nu_j Y_{j-2} + (1 - mu_j - nu_j) Y_0
+              + mu~_j dt L(Y_{j-1}) + gamma~_j dt L(Y_0),   j = 2, ..., s,
+
+    and the new u is Y_s.  Its stability polynomial stays within [-1, 1]
+    down to -(s^2 + s - 2) / 2 on the negative real axis, so s stages are
+    stable for up to (s^2 + s - 2) / 4 steps at the forward-Euler bound of
+    :func:`cfl_dt`; two stages cover one such step.
 
     Precondition: ``s.metric`` carries the curvature-Neumann ghost, as every
     state that :func:`run`, :func:`step` and the initial-data module build
-    does.  k(u0) is then ``-s.metric.R``, so the curvature that accepted
-    the previous step (and that its record read) is reused, not recomputed.
-    Every stage metric arrives from the closure with its R, so a step costs
-    three closures; the last one's R serves the positivity test, the next
-    step and the record.  Each stage combines in place in its slope, which
-    no metric owns, with the rounding of the formulas above.
+    does.  L(Y_0) is then ``-s.metric.R``, so the curvature that accepted
+    the previous super-step (and that its record read) is reused, not
+    recomputed.  Every stage metric arrives from the closure with its R,
+    so a super-step costs ``stages`` closures and as many ``rhs`` calls;
+    the last one's R serves the positivity test, the next super-step and
+    the record.  Each stage is summed into a fresh array, which becomes its
+    metric's u, term by term in the order of the formula above.
     """
     if dt == 0.0:
         return s
     m0 = s.metric
     u0, grid = m0.u, m0.grid
-    k = rhs(m0)
-    k *= dt
-    k += u0
-    m = enforce_curvature_neumann(k, grid)
-    for a, b in ((0.75, 0.25), (1.0 / 3.0, 2.0 / 3.0)):
+    l0 = rhs(m0)
+    mu1, rows = _rkl2_coefficients(stages)
+    y = l0 * (mu1 * dt)
+    y += u0
+    prev, m = m0, enforce_curvature_neumann(y, grid)
+    for mu, nu, c, mu_t, gamma_t in rows:
+        y = mu * m.u
+        y += nu * prev.u
+        y += c * u0
         k = rhs(m)
-        k *= dt
-        k += m.u
-        k *= b
-        k += a * u0
-        m = enforce_curvature_neumann(k, grid)
+        k *= mu_t * dt
+        y += k
+        y += (gamma_t * dt) * l0
+        prev, m = m, enforce_curvature_neumann(y, grid)
     r_min = float(m.R.min())
     if not r_min > 0.0:  # NaN fails too
         raise PositivityError(
@@ -181,11 +223,24 @@ def run(
 ) -> FlowTrajectory:
     """Integrate to t_end (or early termination), recording entropy data.
 
-    Records are taken at t = 0, every ``record_every`` accepted steps, and
-    at the final accepted state, also when the run stops early (after
-    ``MAX_STEPS`` steps or at a step that loses positivity).  A snapshot
-    shares u and the ghost ring with the state it was taken from but none
-    of its cached curvature, so it costs u plus its ghost.
+    Records are taken at t = 0, every ``record_every`` steps at the
+    forward-Euler bound, and at the final accepted state, also when the run
+    stops early (after ``MAX_STEPS`` super-steps or at a super-step that
+    loses positivity).  A record interval is covered by the fewest equal
+    super-steps of at most ``MAX_STAGES`` stages: k = ceil(record_every /
+    17.5) super-steps of n = record_every / k forward-Euler steps each,
+    with the bound :func:`cfl_dt` recomputed at every super-step, and each
+    of the fewest stages that cover n.  The last super-step stops at t_end.
+
+    The stages are capped because the closure row is not a symmetric
+    Gershgorin row and RKL2's stability region narrows as s grows.  On the
+    128x1 cap of acceptance criterion 5 (record_every = 100) the final
+    boundary flux of lap R is 0.0029 at 8 stages, against SSP-RK3's
+    0.0027, and 2.2e-4 at 10, but 0.064 at 12, 0.30 at 14 (over the
+    criterion's bound, 0.156) and 6.3 at 20.
+
+    A snapshot shares u and the ghost ring with the state it was taken
+    from but none of its cached curvature, so it costs u plus its ghost.
 
     With ``keep_every_snapshot`` (the default) a snapshot is stored
     alongside each record; the time-differencing checks of
@@ -221,19 +276,26 @@ def run(
         traj.records.append(entropy.make_record(m, st.t, w_horizon))
 
     record(state)
+    per_record = -(-4 * sched.record_every // (MAX_STAGES * MAX_STAGES + MAX_STAGES - 2))
+    n = sched.record_every / per_record  # forward-Euler steps per super-step
+    stages = _stages(n)
     steps = 0
     while state.t < sched.t_end * (1.0 - 1e-14):
         if steps >= MAX_STEPS:
             traj.termination = Termination.STEP_LIMIT
             break
-        dt = min(cfl_dt(state.metric, sched.cfl_safety), sched.t_end - state.t)
+        dt_fe = cfl_dt(state.metric, sched.cfl_safety)
+        dt, s = n * dt_fe, stages
+        if not dt < sched.t_end - state.t:
+            dt = sched.t_end - state.t
+            s = _stages(dt / dt_fe)
         try:
-            state = step(state, dt)
+            state = step(state, dt, s)
         except PositivityError:
             traj.termination = Termination.POSITIVITY_LOST
             break
         steps += 1
-        if steps % sched.record_every == 0 or state.t >= sched.t_end * (1.0 - 1e-14):
+        if steps % per_record == 0 or state.t >= sched.t_end * (1.0 - 1e-14):
             record(state)
 
     if traj.records[-1].t < state.t:  # an early stop between record steps

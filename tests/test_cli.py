@@ -278,8 +278,9 @@ def test_cmd_verify_full_suite(tmp_path):
 
 
 def test_cmd_run_early_stop_writes_last_accepted_state(tmp_path, capsys, monkeypatch):
+    # three super-steps stop the run inside its first record interval
     monkeypatch.setattr(riccidisk.flow, "MAX_STEPS", 3)
-    cfg = _write_config(tmp_path / "c.cfg", **{"schedule.record_every": 10})
+    cfg = _write_config(tmp_path / "c.cfg", **{"schedule.record_every": 100})
     assert main(["run", str(cfg)]) == EXIT_EARLY
     assert "flow terminated early: step_limit" in capsys.readouterr().err
     rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]

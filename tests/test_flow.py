@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +24,13 @@ from riccidisk.flow import (
     run,
     step,
 )
-from riccidisk.geometry import ConformalMetric, make_metric, scalar_curvature
-from riccidisk.grid import GridSpec, build_grid
+from riccidisk.geometry import (
+    ConformalMetric,
+    laplace_beltrami,
+    make_metric,
+    scalar_curvature,
+)
+from riccidisk.grid import GridSpec, build_grid, radial_derivative_at_boundary_interior
 from riccidisk.initial_data import (
     CapParams,
     PerturbationParams,
@@ -33,12 +40,14 @@ from riccidisk.initial_data import (
 )
 
 
-# Reference steps.  ``_ref_step`` is the SSP-RK3 step in the textbook
-# Shu-Osher form, the oracle the in-place step must reproduce bit for bit;
-# ``_ref_rk4_step`` is the classical RK4 step it replaced, kept as an
-# oracle of the same trajectory.  Every stage runs the closure for its
-# ghost alone and then the curvature kernel, the stages are combined out of
-# place, and the time step reads a fresh exp(u).
+# Reference steps.  ``_ref_step`` is the RKL2 super-step in the textbook
+# form of Meyer, Balsara & Aslam (J. Comput. Phys. 257 (2014) 594-626), the
+# oracle the step must reproduce bit for bit; ``_ref_ssprk3_step`` is the
+# Shu-Osher SSP-RK3 step it replaced, kept as an oracle of the same
+# trajectory, and ``_ref_ssprk3_run`` steps it at the forward-Euler bound
+# with a record every ``record_every`` steps.  Every stage runs the closure
+# for its ghost alone and then the curvature kernel, the stages are combined
+# out of place, and the time step reads a fresh exp(u).
 
 def _ref_closed(u, grid):
     ghost, _ = _kernels.curvature_neumann_ghost(u, *grid.stencil)
@@ -65,7 +74,30 @@ def _ref_accept(s, dt, m_new):
     return FlowState(s.t + dt, m_new)
 
 
-def _ref_step(s, dt):
+def _ref_b(j):
+    return 1.0 / 3.0 if j < 2 else (j * j + j - 2) / (2.0 * j * (j + 1))
+
+
+def _ref_step(s, dt, stages):
+    m0 = s.metric
+    y0, grid = m0.u, m0.grid
+    w1 = 4.0 / (stages * stages + stages - 2)
+    l0 = _ref_rhs(m0)
+    ys = [y0, y0 + _ref_b(1) * w1 * dt * l0]
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * _ref_b(j) / _ref_b(j - 1)
+        nu = -(j - 1) / j * _ref_b(j) / _ref_b(j - 2)
+        mu_t = mu * w1
+        gamma_t = -(1.0 - _ref_b(j - 1)) * mu_t
+        l1 = _ref_rhs(_ref_closed(ys[-1], grid))
+        ys.append(
+            mu * ys[-1] + nu * ys[-2] + (1.0 - mu - nu) * y0
+            + mu_t * dt * l1 + gamma_t * dt * l0
+        )
+    return _ref_accept(s, dt, _ref_closed(ys[-1], grid))
+
+
+def _ref_ssprk3_step(s, dt):
     m0 = s.metric
     u0, grid = m0.u, m0.grid
     u1 = u0 + dt * _ref_rhs(m0)
@@ -76,15 +108,17 @@ def _ref_step(s, dt):
     return _ref_accept(s, dt, _ref_closed(u3, grid))
 
 
-def _ref_rk4_step(s, dt):
-    m0 = s.metric
-    u0, grid = m0.u, m0.grid
-    k1 = _ref_rhs(m0)
-    k2 = _ref_rhs(_ref_closed(u0 + 0.5 * dt * k1, grid))
-    k3 = _ref_rhs(_ref_closed(u0 + 0.5 * dt * k2, grid))
-    k4 = _ref_rhs(_ref_closed(u0 + dt * k3, grid))
-    u_new = u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return _ref_accept(s, dt, _ref_closed(u_new, grid))
+def _ref_ssprk3_run(m0, sched):
+    """Record times and final state of SSP-RK3 steps at ``cfl_dt``."""
+    s = FlowState(0.0, _ref_closed(m0.u, m0.grid))
+    times, steps = [0.0], 0
+    while s.t < sched.t_end * (1.0 - 1e-14):
+        dt = min(_ref_cfl_dt(s.metric, sched.cfl_safety), sched.t_end - s.t)
+        s = _ref_ssprk3_step(s, dt)
+        steps += 1
+        if steps % sched.record_every == 0 or s.t >= sched.t_end * (1.0 - 1e-14):
+            times.append(s.t)
+    return times, s
 
 
 def test_cfl_scales_with_safety(hemisphere_1d):
@@ -133,46 +167,54 @@ def test_cfl_bound_over_the_square_grid_bound(n_r, n_theta):
         assert 1.7 < ratio < 2.0
 
 
-def _steps_at(m, factor, n_steps):
-    """``n_steps`` steps of ``factor`` times the bound at safety 1."""
+def _super_steps_at(m, n, count, safety=0.8):
+    """``count`` 8-stage super-steps of ``n`` steps at the bound."""
     s = FlowState(0.0, m)
-    for _ in range(n_steps):
-        s = step(s, factor * cfl_dt(s.metric, 1.0))
+    for _ in range(count):
+        s = step(s, n * cfl_dt(s.metric, safety), 8)
     return s
 
 
 def test_cfl_bound_is_stable_with_the_closure_row(grid_1d):
-    # the Gershgorin bound leaves the closed last ring out; 2,000 steps at
-    # safety 1 neither lose positivity nor let min R fall (d_t R = lap R +
-    # R^2 >= 0 at the minimum), while twice the bound loses positivity
-    # within a few dozen steps
+    # the Gershgorin bound leaves the closed last ring out; 2,000 steps'
+    # worth of the bound at safety 1, in 8-stage super-steps of 17.5 steps,
+    # neither lose positivity nor let min R fall (d_t R = lap R + R^2 >= 0
+    # at the minimum), while twice the bound loses the hemisphere's
+    # positivity within a few super-steps
     hemisphere = spherical_cap(CapParams(1.0), grid_1d)
     cap = perturbed_cap(
         CapParams(0.5), PerturbationParams(0.05, 2), build_grid(GridSpec(32, 16))
     )
-    ends = [_steps_at(m, 1.0, 2000) for m in (hemisphere, cap)]
+    ends = [_super_steps_at(m, 17.5, math.ceil(2000 / 17.5), 1.0) for m in (hemisphere, cap)]
     for m, s in zip((hemisphere, cap), ends):
         assert float(s.metric.R.min()) >= float(m.R.min())
     # and the hemisphere is still on R(t) = 2 / (1 - 2t)
     s = ends[0]
     assert np.max(np.abs(s.metric.R - 2.0 / (1.0 - 2.0 * s.t))) < 2e-3
     with pytest.raises(PositivityError):
-        _steps_at(hemisphere, 2.0, 2000)
+        _super_steps_at(hemisphere, 35.0, 5, 1.0)
 
 
 def test_cfl_bound_has_the_accuracy_of_half_the_bound(grid_1d):
+    # 17.5-step super-steps at safety 1, 1/2 and 1/4: halving dt cuts the
+    # difference about 4x (second order), and the time error at the bound,
+    # about 4/3 of the first difference, stays over 1000x below h^2
     m0 = spherical_cap(CapParams(1.0), grid_1d)
     finals = [
         run(m0, FlowSchedule(t_end=0.05, cfl_safety=s, record_every=10**6), 0.5).snapshots[-1]
-        for s in (1.0, 0.5)
+        for s in (1.0, 0.5, 0.25)
     ]
-    assert finals[0].t == finals[1].t == 0.05
-    assert np.max(np.abs(finals[0].metric.u - finals[1].metric.u)) < 1e-11
+    assert [f.t for f in finals] == [0.05] * 3
+    d1, d2 = (
+        np.max(np.abs(a.metric.u - b.metric.u)) for a, b in zip(finals, finals[1:])
+    )
+    assert 3.0 < d1 / d2 < 5.0
+    assert 4.0 / 3.0 * d1 < 1e-3 * grid_1d.dr**2
 
 
 def test_zero_step_is_identity(hemisphere_1d):
     s = FlowState(0.0, hemisphere_1d)
-    assert step(s, 0.0) is s
+    assert step(s, 0.0, 8) is s
 
 
 def test_enforced_cap_satisfies_boundary_condition(grid_1d):
@@ -258,65 +300,70 @@ def test_nan_curvature_initial_data_rejected(grid_1d):
 
 
 def test_step_limit_termination(grid_1d, monkeypatch):
-    # the run stops between record steps and still records its last state
+    # MAX_STEPS counts super-steps: six of 16.7 steps make one record
+    # interval of 100 steps, so the run stops between records and still
+    # records its last state
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     m0 = spherical_cap(CapParams(0.5), grid_1d)
-    traj = run(m0, FlowSchedule(t_end=0.1, record_every=10), w_horizon=0.5)
-    s = FlowState(0.0, m0)
-    for _ in range(3):
-        s = step(s, cfl_dt(s.metric, 0.8))
+    traj = run(m0, FlowSchedule(t_end=0.1, record_every=100), w_horizon=0.5)
+    s = _super_steps_at(m0, 100 / 6, 3)
     assert traj.termination is Termination.STEP_LIMIT
     assert [r.t for r in traj.records] == [0.0, s.t]
     assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
     assert np.array_equal(traj.snapshots[-1].metric.u, s.metric.u)
 
 
-@pytest.mark.parametrize("record_every", [10, 3])
-def test_positivity_loss_records_last_accepted_state(grid_1d, monkeypatch, record_every):
-    # with record_every = 3 the last accepted step is a record step already
+@pytest.mark.parametrize("per_record", [10, 3])
+def test_positivity_loss_records_last_accepted_state(grid_1d, monkeypatch, per_record):
+    # the fourth super-step fails; with 17 steps per super-step
+    # ``per_record`` super-steps make a record interval, and with 3 the last
+    # accepted super-step is a record step already
     dts = []
 
-    def failing_step(s, dt):
+    def failing_step(s, dt, stages):
         dts.append(dt)
         if len(dts) == 4:
             raise PositivityError("min R is not positive", min_r=-1.0)
-        return step(s, dt)
+        return step(s, dt, stages)
 
     monkeypatch.setattr(flow, "step", failing_step)
     m0 = spherical_cap(CapParams(0.5), grid_1d)
-    traj = run(m0, FlowSchedule(t_end=0.1, record_every=record_every), w_horizon=0.5)
+    sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
+    traj = run(m0, sched, w_horizon=0.5)
     assert traj.termination is Termination.POSITIVITY_LOST
     assert [r.t for r in traj.records] == [0.0, sum(dts[:3])]
     assert len(traj.snapshots) == 2
 
 
-def test_rk4_time_accuracy_vs_halved_step(grid_1d):
-    # two half steps vs one full step; RK4 local error leaves ~1e-12 gap
+def test_step_time_accuracy_vs_halved_step(grid_1d):
+    # two half super-steps vs one full one of 17.5 steps at safety 0.8; the
+    # second-order local error leaves a gap far below h^2 (7e-11)
     m0 = spherical_cap(CapParams(1.0), grid_1d)
-    dt = cfl_dt(m0, 0.8)
-    s_full = step(FlowState(0.0, m0), dt)
-    s_half = step(step(FlowState(0.0, m0), 0.5 * dt), 0.5 * dt)
-    assert np.max(np.abs(s_full.metric.u - s_half.metric.u)) < 1e-12
+    dt = 17.5 * cfl_dt(m0, 0.8)
+    s_full = step(FlowState(0.0, m0), dt, 8)
+    s_half = step(step(FlowState(0.0, m0), 0.5 * dt, 8), 0.5 * dt, 8)
+    assert np.max(np.abs(s_full.metric.u - s_half.metric.u)) < 1e-5 * grid_1d.dr**2
 
 
 def test_step_builds_one_metric_per_closure(hemisphere_1d, monkeypatch):
-    # stages u1, u2 and the new state u3: one closed metric each
-    calls = []
+    # stages Y_1, ..., Y_s, the last the new state: one closed metric each
     post_init = ConformalMetric.__post_init__
+    for stages in range(2, 9):
+        calls = []
 
-    def counting_post_init(self):
-        calls.append(1)
-        post_init(self)
+        def counting_post_init(self):
+            calls.append(1)
+            post_init(self)
 
-    monkeypatch.setattr(ConformalMetric, "__post_init__", counting_post_init)
-    step(FlowState(0.0, hemisphere_1d), cfl_dt(hemisphere_1d, 0.8))
-    assert len(calls) == 3
+        monkeypatch.setattr(ConformalMetric, "__post_init__", counting_post_init)
+        step(FlowState(0.0, hemisphere_1d), cfl_dt(hemisphere_1d, 0.8), stages)
+        assert len(calls) == stages
 
 
 def test_step_calls_rhs_and_closure_through_the_module(grid_2d, monkeypatch):
     # the step looks ``rhs`` and ``enforce_curvature_neumann`` up in the
     # module on every stage, so wrappers installed there (as a profiler
-    # does) see each call: three of each per step, k(u0) included
+    # does) see each call: s of each per super-step, L(Y_0) included
     m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
     calls = {"rhs": 0, "enforce_curvature_neumann": 0}
 
@@ -331,10 +378,11 @@ def test_step_calls_rhs_and_closure_through_the_module(grid_2d, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(flow, name, counting(name))
-    s = FlowState(0.0, m0)
-    for n in (1, 2, 3):
-        s = step(s, cfl_dt(s.metric, 0.8))
-        assert calls == {"rhs": 3 * n, "enforce_curvature_neumann": 3 * n}
+    s, total = FlowState(0.0, m0), 0
+    for stages in (2, 5, 8):
+        s = step(s, cfl_dt(s.metric, 0.8), stages)
+        total += stages
+        assert calls == {"rhs": total, "enforce_curvature_neumann": total}
 
 
 def test_step_calls_no_np_roll(grid_2d, monkeypatch):
@@ -346,7 +394,7 @@ def test_step_calls_no_np_roll(grid_2d, monkeypatch):
         raise AssertionError("np.roll called inside a time step")
 
     monkeypatch.setattr(np, "roll", no_roll)
-    s = step(FlowState(0.0, m0), cfl_dt(m0, 0.8))
+    s = step(FlowState(0.0, m0), cfl_dt(m0, 0.8), 8)
     assert s.t > 0.0
 
 
@@ -360,13 +408,16 @@ def _start(n_r, n_theta, mode):
 
 @pytest.mark.parametrize("n_r, n_theta, mode", [(128, 1, 0), (64, 32, 2), (128, 64, 3)])
 def test_step_matches_reference_step_bit_for_bit(n_r, n_theta, mode):
+    # super-steps of 2 to 8 stages, each at its full length at safety 0.8
     m0 = _start(n_r, n_theta, mode)
     fast = ref = FlowState(0.0, m0)
-    for _ in range(25):
+    for i in range(21):
+        stages = 2 + i % 7
         dt = cfl_dt(fast.metric, 0.8)
         assert dt == _ref_cfl_dt(ref.metric, 0.8)
-        fast = step(fast, dt)
-        ref = _ref_step(ref, dt)
+        dt *= (stages * stages + stages - 2) / 4
+        fast = step(fast, dt, stages)
+        ref = _ref_step(ref, dt, stages)
     assert fast.t == ref.t
     assert np.array_equal(fast.metric.u, ref.metric.u)
     assert np.array_equal(fast.metric.u_ghost, ref.metric.u_ghost)
@@ -374,16 +425,96 @@ def test_step_matches_reference_step_bit_for_bit(n_r, n_theta, mode):
 
 
 @pytest.mark.parametrize("n_r, n_theta, mode", [(128, 1, 0), (64, 32, 2), (128, 64, 3)])
-def test_step_agrees_with_rk4(n_r, n_theta, mode):
-    # third and fourth order at a step proportional to h^2: after 25 steps
-    # the two trajectories differ by far less than the space error
+def test_step_agrees_with_ssprk3(n_r, n_theta, mode):
+    # second and third order at a step proportional to h^2: over 200 steps
+    # at the bound, 12 super-steps against 200 SSP-RK3 steps, the two
+    # trajectories differ by far less than the space error (1.4e-5 h^2 in
+    # 1-D, under 1e-9 h^2 in 2-D)
     m0 = _start(n_r, n_theta, mode)
-    s = rk4 = FlowState(0.0, m0)
-    for _ in range(25):
-        dt = cfl_dt(s.metric, 0.8)
-        s = step(s, dt)
-        rk4 = _ref_rk4_step(rk4, dt)
-    assert np.max(np.abs(s.metric.u - rk4.metric.u)) < 1e-12
+    sched = FlowSchedule(t_end=200 * cfl_dt(m0, 0.8), record_every=200)
+    final = run(m0, sched, w_horizon=0.5).snapshots[-1]
+    _, ref = _ref_ssprk3_run(m0, sched)
+    assert final.t == ref.t
+    h = max(m0.grid.dr, m0.grid.dtheta) if n_theta > 1 else m0.grid.dr
+    assert np.max(np.abs(final.metric.u - ref.metric.u)) < 1e-4 * h * h
+
+
+@pytest.mark.parametrize(
+    "record_every, stages, per_record",
+    [(1, 2, 1), (2, 3, 1), (5, 5, 1), (18, 6, 2), (35, 8, 2), (36, 7, 3), (200, 8, 12)],
+)
+def test_run_takes_the_fewest_stages(grid_1d, monkeypatch, record_every, stages, per_record):
+    # the fewest equal super-steps of at most 8 stages cover a record
+    # interval, each of the fewest stages that cover its length; the last
+    # super-step stops at t_end
+    taken = []
+
+    def logging_step(s, dt, n_stages):
+        taken.append((dt / cfl_dt(s.metric, 0.8), n_stages))
+        return step(s, dt, n_stages)
+
+    monkeypatch.setattr(flow, "step", logging_step)
+    m0 = spherical_cap(CapParams(1.0), grid_1d)
+    sched = FlowSchedule(t_end=2.5 * record_every * cfl_dt(m0, 0.8), record_every=record_every)
+    traj = run(m0, sched, w_horizon=0.5)
+    assert len(traj.records) == 4
+    for n, n_stages in taken[:2 * per_record]:
+        assert n == pytest.approx(record_every / per_record, rel=1e-12)
+        assert n_stages == stages
+    assert 2 * per_record < len(taken) < 3 * per_record + 1
+    assert taken[-1][0] < record_every / per_record
+
+
+def _boundary_flux_of_lap_R(m):
+    """max |d_r lap R| at r = 1, as ``check_normal_lemmas`` measures it."""
+    lap_R = laplace_beltrami(m.R, m)
+    return float(np.max(np.abs(radial_derivative_at_boundary_interior(lap_R, m.grid))))
+
+
+def test_stage_cap_keeps_the_boundary_flux_of_ssprk3():
+    # the closure row narrows RKL2's stability as the stages grow: on the
+    # 1-D trajectory of acceptance criterion 5 the flux of lap R at the
+    # boundary is SSP-RK3's up to 8 stages (17.5 steps a super-step), but
+    # 100x it at 14 stages (50 steps) and over criterion 5's bound
+    m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 0), build_grid(GridSpec(128, 1)))
+    sched = FlowSchedule(t_end=0.02, record_every=100)
+    final = run(m0, sched, w_horizon=0.5).snapshots[-1]
+    _, ref = _ref_ssprk3_run(m0, sched)
+    assert final.t == ref.t
+    flux, ref_flux = (_boundary_flux_of_lap_R(s.metric) for s in (final, ref))
+    assert flux <= 1.5 * ref_flux
+
+
+# (grid, cap c, eps, mode, t_end, cfl_safety, record_every) of the three
+# benchmark workloads and of acceptance criteria 1, 2, 3, 5 and 8; a t_end
+# below 1e-3 counts steps at the initial bound
+_RECORD_SCHEDULES = {
+    "hemisphere-1d": ((128, 1), 1.0, 0.0, 0, 0.15, 0.8, 200),
+    "cap-2d-records": ((128, 64), 0.45, 0.035, 2, 2.1e-6, 0.8, 1),
+    "cap-2d-verify": ((64, 32), 0.55, 0.045, 3, 2.0e-3, 0.8, 100),
+    "criterion-1": ((128, 1), 1.0, 0.0, 0, 0.2, 0.8, 50),
+    "criterion-2": ((128, 64), 0.5, 0.05, 2, 4.5, 0.25, 1),
+    "criterion-3-1d": ((128, 1), 0.4, 0.0, 0, 0.02, 0.8, 100),
+    "criterion-3-2d": ((64, 32), 0.7, 0.03, 3, 6.0, 0.8, 1),
+    "criterion-5": ((128, 1), 0.5, 0.0, 0, 0.1, 0.8, 200),
+    "criterion-8": ((64, 16), 0.5, 0.03, 2, 1e-4, 0.8, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_SCHEDULES))
+def test_run_records_as_often_as_ssprk3(name, monkeypatch):
+    # a record every ``record_every`` steps at the forward-Euler bound: the
+    # super-steps keep the record count of SSP-RK3 steps at that bound
+    (n_r, n_theta), c, eps, mode, t_end, safety, every = _RECORD_SCHEDULES[name]
+    m0 = perturbed_cap(CapParams(c), PerturbationParams(eps, mode), build_grid(GridSpec(n_r, n_theta)))
+    if t_end > 1.0:
+        t_end *= cfl_dt(m0, safety)
+    sched = FlowSchedule(t_end=t_end, cfl_safety=safety, record_every=every)
+    monkeypatch.setattr(flow.entropy, "make_record", lambda m, t, w_horizon: SimpleNamespace(t=t))
+    times = [r.t for r in run(m0, sched, w_horizon=0.5).records]
+    ref_times, _ = _ref_ssprk3_run(m0, sched)
+    assert len(times) == len(ref_times)
+    assert times[-1] == ref_times[-1] == t_end
 
 
 def _failing_state(case, grid):
@@ -413,7 +544,7 @@ def test_step_fails_like_reference_step(grid_2d, case, error):
     for fn in (step, _ref_step):
         m, dt = _failing_state(case, grid_2d)
         with pytest.raises(RicciDiskError) as info:
-            fn(FlowState(0.0, m), dt)
+            fn(FlowState(0.0, m), dt, 8)
         raised.append(type(info.value))
     assert raised == [error, error]
 
@@ -441,16 +572,15 @@ def test_ends_only_run_has_the_records_of_a_full_run(n_r, n_theta, mode):
     _assert_same_state(ends.snapshots[-1], full.snapshots[-1])
 
 
-@pytest.mark.parametrize("record_every", [1, 2, 10])
-def test_ends_only_step_limit_keeps_the_last_state(grid_1d, monkeypatch, record_every):
+@pytest.mark.parametrize("per_record", [1, 2, 10])
+def test_ends_only_step_limit_keeps_the_last_state(grid_1d, monkeypatch, per_record):
+    # super-steps of 17 steps, ``per_record`` of them to a record interval
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     m0 = spherical_cap(CapParams(0.5), grid_1d)
-    sched = FlowSchedule(t_end=0.1, record_every=record_every)
+    sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
     full = run(m0, sched, w_horizon=0.5)
     traj = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
-    s = FlowState(0.0, m0)
-    for _ in range(3):
-        s = step(s, cfl_dt(s.metric, 0.8))
+    s = _super_steps_at(m0, 17, 3)
     assert traj.termination is Termination.STEP_LIMIT
     assert traj.records == full.records
     assert traj.records[-1].t == s.t
@@ -459,30 +589,30 @@ def test_ends_only_step_limit_keeps_the_last_state(grid_1d, monkeypatch, record_
     _assert_same_state(traj.snapshots[-1], s)
 
 
-@pytest.mark.parametrize("record_every", [1, 2, 3, 10])
+@pytest.mark.parametrize("per_record", [1, 2, 3, 10])
 def test_ends_only_positivity_loss_keeps_the_last_accepted_state(
-    grid_1d, monkeypatch, record_every
+    grid_1d, monkeypatch, per_record
 ):
     m0 = spherical_cap(CapParams(0.5), grid_1d)
-    sched = FlowSchedule(t_end=0.1, record_every=record_every)
+    sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
 
     def run_failing_at_step_4(keep_every_snapshot):
-        dts = []
+        args = []
 
-        def failing_step(s, dt):
-            dts.append(dt)
-            if len(dts) == 4:
+        def failing_step(s, dt, stages):
+            args.append((dt, stages))
+            if len(args) == 4:
                 raise PositivityError("min R is not positive", min_r=-1.0)
-            return step(s, dt)
+            return step(s, dt, stages)
 
         monkeypatch.setattr(flow, "step", failing_step)
-        return run(m0, sched, 0.5, keep_every_snapshot=keep_every_snapshot), dts
+        return run(m0, sched, 0.5, keep_every_snapshot=keep_every_snapshot), args
 
     full, _ = run_failing_at_step_4(True)
-    traj, dts = run_failing_at_step_4(False)
+    traj, args = run_failing_at_step_4(False)
     s = FlowState(0.0, m0)
-    for dt in dts[:3]:
-        s = step(s, dt)
+    for dt, stages in args[:3]:
+        s = step(s, dt, stages)
     assert traj.termination is Termination.POSITIVITY_LOST
     assert traj.records == full.records
     assert traj.records[-1].t == s.t
