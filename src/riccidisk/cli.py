@@ -130,8 +130,7 @@ def _initial_metric(cfg: ExperimentConfig):
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    # the CSV reads only the records, so the run keeps two snapshots
-    traj = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon, keep_every_snapshot=False)
+    traj = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
     rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in traj.records]
     _write_lines(cfg.trajectory_csv, [",".join(CSV_COLUMNS)] + rows)
     if traj.termination is not Termination.COMPLETED:

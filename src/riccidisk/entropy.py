@@ -194,20 +194,20 @@ def entropy_euler_form(traj) -> list:
         int R log R dv + 4 pi chi (1 - K/(2 pi chi))
             * log( ((1 - t) + (1/(2 pi chi)) int_0^t K dxi) / (1 - K/(2 pi chi)) )
 
-    with K(t) = int kappa ds and trapezoidal time quadrature over records.
+    with K(t) = int kappa ds, as recorded, and trapezoidal time quadrature
+    over records.
     """
     chi = EULER_CHARACTERISTIC
-    if not traj.snapshots:
-        raise DomainError("trajectory has no snapshots")
-    traj.require_every_snapshot("entropy_euler_form")
+    if not traj.records:
+        raise DomainError("trajectory has no records")
     v0 = traj.records[0].v_M
     if abs(v0 - 4.0 * pi * chi) > 0.01 * 4.0 * pi * chi:
         raise DomainError(
             f"initial volume {v0:.6g} is not within 1% of 4 pi chi = {4 * pi * chi:.6g}"
         )
 
-    times = [s.t for s in traj.snapshots]
-    k_int = [s.metric.int_kappa for s in traj.snapshots]
+    times = [r.t for r in traj.records]
+    k_int = traj.int_kappa
 
     out = []
     cumulative = 0.0

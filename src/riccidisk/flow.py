@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels, entropy
 from .errors import BoundaryClosureError, PositivityError, UsageError
 from .geometry import ConformalMetric
+from .grid import boundary_value
 
 
 class Termination(Enum):
@@ -58,22 +59,26 @@ class FlowSchedule:
 
 @dataclass
 class FlowTrajectory:
-    snapshots: list = field(default_factory=list)   # list[FlowState]
+    """The records of a run and the few states its checks read.
+
+    ``boundary_R[i]`` and ``int_kappa[i]`` are the boundary trace of R and
+    int kappa ds of the state of ``records[i]``.  ``states`` maps a record
+    index to its state for the first and the latest record and for the
+    probe triple ``probe - 1, probe, probe + 1`` (see :func:`run`); the
+    states of the other records are not kept.
+    """
+
     records: list = field(default_factory=list)     # list[EntropyRecord]
+    boundary_R: list = field(default_factory=list)  # list[np.ndarray]
+    int_kappa: list = field(default_factory=list)   # list[float]
+    states: dict = field(default_factory=dict)      # record index -> FlowState
+    probe: int | None = None
     termination: Termination = Termination.COMPLETED
 
-    def require_every_snapshot(self, reader: str) -> None:
-        """Raise ``UsageError`` unless a snapshot is held for every record.
-
-        A trajectory run with ``keep_every_snapshot=False`` holds only its
-        ends; a reader of the snapshots between them cannot use it.
-        """
-        if len(self.snapshots) < len(self.records):
-            raise UsageError(
-                f"{reader} reads a snapshot per record, but the trajectory holds "
-                f"{len(self.snapshots)} snapshots for {len(self.records)} records; "
-                "run the flow with keep_every_snapshot=True"
-            )
+    @property
+    def snapshots(self) -> list:
+        """The held states, each once, in time order."""
+        return [self.states[i] for i in sorted(self.states)]
 
 
 def enforce_curvature_neumann(u, grid) -> ConformalMetric:
@@ -215,12 +220,7 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
     return FlowState(s.t + dt, m)
 
 
-def run(
-    initial: ConformalMetric,
-    sched: FlowSchedule,
-    w_horizon: float,
-    keep_every_snapshot: bool = True,
-) -> FlowTrajectory:
+def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> FlowTrajectory:
     """Integrate to t_end (or early termination), recording entropy data.
 
     Records are taken at t = 0, every ``record_every`` steps at the
@@ -239,18 +239,15 @@ def run(
     0.0027, and 2.2e-4 at 10, but 0.064 at 12, 0.30 at 14 (over the
     criterion's bound, 0.156) and 6.3 at 20.
 
-    A snapshot shares u and the ghost ring with the state it was taken
-    from but none of its cached curvature, so it costs u plus its ghost.
-
-    With ``keep_every_snapshot`` (the default) a snapshot is stored
-    alongside each record; the time-differencing checks of
-    ``riccidisk verify`` read snapshots between the ends, so ``cmd_verify``
-    and the tests keep them.  Without it the trajectory holds two
-    snapshots however many records it takes, the first and the latest,
-    which replaces its predecessor at each record; ``riccidisk run`` and
-    the flow convergence studies read only records and the ends, so they
-    run this way.  Records, their times and the termination do not depend
-    on the mode.
+    Each record also keeps the boundary trace of R and int kappa ds, which
+    it computes anyway.  Of the states, the trajectory holds five at most:
+    the first, the latest, and those of the probe triple k - 1, k, k + 1,
+    where the probe k is the first record at or after t_end / 2 that has a
+    later record.  A run that stops before it finds one (it ends early, or
+    t_end / 2 falls after the last record but one) probes its last three
+    records, which it holds in a rolling window.  A held state shares u and
+    the ghost ring with the state it was taken from but none of its cached
+    curvature, so it costs u plus its ghost.
     """
     if not w_horizon > sched.t_end:  # NaN fails too
         raise UsageError(
@@ -265,15 +262,20 @@ def run(
         )
 
     traj = FlowTrajectory()
+    half = 0.5 * sched.t_end
 
     def record(st):
         m = st.metric
-        snap = FlowState(st.t, ConformalMetric(m.u, m.grid, m.u_ghost))
-        if keep_every_snapshot or len(traj.snapshots) < 2:
-            traj.snapshots.append(snap)
-        else:
-            traj.snapshots[-1] = snap
+        i = len(traj.records)
+        if traj.probe is None and i > 0 and traj.records[-1].t >= half:
+            traj.probe = i - 1
+        k = traj.probe
+        keep = (0, i - 2, i - 1) if k is None else (0, k - 1, k, k + 1)
+        traj.states = {j: h for j, h in traj.states.items() if j in keep}
+        traj.states[i] = FlowState(st.t, ConformalMetric(m.u, m.grid, m.u_ghost))
         traj.records.append(entropy.make_record(m, st.t, w_horizon))
+        traj.boundary_R.append(boundary_value(m.R))
+        traj.int_kappa.append(m.int_kappa)
 
     record(state)
     per_record = -(-4 * sched.record_every // (MAX_STAGES * MAX_STAGES + MAX_STAGES - 2))
@@ -300,4 +302,6 @@ def run(
 
     if traj.records[-1].t < state.t:  # an early stop between record steps
         record(state)
+    if traj.probe is None:
+        traj.probe = len(traj.records) - 2
     return traj

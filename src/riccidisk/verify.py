@@ -1,9 +1,9 @@
 """Independent verification of the monotonicity formulas and lemmas.
 
 Every check compares two independently computed quantities: a finite
-difference in time over recorded snapshots against an analytic right-hand
-side, or two integral forms of the same identity.  A report passes under
-the two-parameter tolerance model
+difference in time over records against an analytic right-hand side, or
+two integral forms of the same identity.  A report passes under the
+two-parameter tolerance model
 
     tol = (C1 dt^2 + C2 h^2) * scale,   scale = max(1, |lhs|, |rhs|),
 
@@ -29,7 +29,6 @@ from .geometry import (
     laplace_beltrami,
     make_metric,
     normal_derivative,
-    scalar_curvature,
     shifted_hessian_norm_sq,
 )
 from .grid import (
@@ -134,12 +133,12 @@ def _fd2(ym, y0, yp, h1, h2):
 
 
 def _probe(traj):
-    """Interior record index and the FD spacings around it."""
+    """The trajectory's probe record k (see ``flow.run``) and the FD spacings around it."""
     if len(traj.records) < 3:
         raise UsageError(
             f"need at least 3 records for time differencing, got {len(traj.records)}"
         )
-    k = len(traj.records) // 2
+    k = traj.probe
     ts = [r.t for r in traj.records]
     return k, ts[k] - ts[k - 1], ts[k + 1] - ts[k]
 
@@ -148,9 +147,7 @@ def _ddt(traj, field, fd=_fd1):
     """FD time derivative of a record field at the probe record.
 
     Returns ``(value, k, dt, grid)``: the derivative, the probe index, the
-    larger of the two spacings around it and the grid.  It reads records
-    only (the grid is the first snapshot's), so it works on a trajectory
-    that keeps only its ends.
+    larger of the two spacings around it and the grid (the first state's).
     """
     k, h1, h2 = _probe(traj)
     ym, y0, yp = (getattr(r, field) for r in traj.records[k - 1 : k + 2])
@@ -299,17 +296,14 @@ def check_avg_evolution(traj) -> IdentityReport:
 def check_kappa_evolution(traj) -> IdentityReport:
     """kappa(t) = kappa(0) exp(int_0^t R/2 ds) per boundary node.
 
-    The exponent uses trapezoidal quadrature of the boundary trace of R
-    over the records; comparison is at the final record, at the node of
-    largest pointwise deviation.
+    The exponent uses trapezoidal quadrature of the recorded boundary
+    traces of R; comparison is at the final record, at the node of largest
+    pointwise deviation.
     """
     if len(traj.records) < 2:
         raise UsageError("kappa evolution needs at least 2 records")
-    traj.require_every_snapshot("kappa_evolution")
-    ts = np.array([s.t for s in traj.snapshots])
-    R_b = np.array(
-        [boundary_value(scalar_curvature(s.metric)) for s in traj.snapshots]
-    )
+    ts = np.array([r.t for r in traj.records])
+    R_b = np.array(traj.boundary_R)
     kappa0 = traj.snapshots[0].metric.kappa
     kappa_end = traj.snapshots[-1].metric.kappa
     exponent = 0.5 * np.trapezoid(R_b, x=ts, axis=0)
@@ -324,23 +318,21 @@ def check_normal_lemmas(traj) -> IdentityReport:
     """Normal-frame law and the flux of lap R at the boundary.
 
     (a) the unit normal is exp(-u/2) d_r, so d_t exp(-u/2) = R exp(-u/2)/2
-        on the boundary; checked by centered FD of the recorded u trace;
-    (b) |d_r (lap R)| at r = 1 on the final snapshot, which converges to 0
+        on the boundary; checked by centered FD of the u trace of the probe
+        triple's states;
+    (b) |d_r (lap R)| at r = 1 on the latest state, which converges to 0
         at first order (one-sided third-derivative estimate).
 
     With today's 2-D initial data the flux of (b) does not converge under
     refinement (ROADMAP item C); ``perfbench/workloads.KNOWN_FAILURES`` lists it.
     """
-    traj.require_every_snapshot("normal_lemmas")
     k, h1, h2 = _probe(traj)
-    snaps = traj.snapshots
-    nu = [np.exp(-0.5 * boundary_value(s.metric.u)) for s in (snaps[k - 1], snaps[k], snaps[k + 1])]
+    nu = [np.exp(-0.5 * boundary_value(traj.states[i].metric.u)) for i in (k - 1, k, k + 1)]
     lhs_field = _fd1(nu[0], nu[1], nu[2], h1, h2)
-    R_b = boundary_value(snaps[k].metric.R)
-    rhs_field = 0.5 * R_b * nu[1]
+    rhs_field = 0.5 * traj.boundary_R[k] * nu[1]
     j = int(np.argmax(np.abs(lhs_field - rhs_field)))
 
-    m_end = snaps[-1].metric
+    m_end = traj.snapshots[-1].metric
     lap_R = laplace_beltrami(m_end.R, m_end)
     # interior stencil: the ghost-closure error on the outermost ring would
     # otherwise dominate the one-sided derivative
@@ -349,7 +341,7 @@ def check_normal_lemmas(traj) -> IdentityReport:
     # first-order quantity: one power of h in the model
     extra_ok = flux <= C2 * grid_h(m_end.grid) * flux_scale
 
-    grid = snaps[k].metric.grid
+    grid = traj.states[k].metric.grid
     return _report(
         "normal_lemmas", lhs_field[j], rhs_field[j], grid, max(h1, h2), extra_ok=extra_ok
     )
@@ -364,9 +356,8 @@ def check_second_derivative_N(traj) -> IdentityReport:
     Also checks the first-derivative form dN/dt = int ((lap R) log R + R^2) dv
     as part of the pass criterion.
     """
-    traj.require_every_snapshot("second_derivative_N")
     lhs, k, dt, grid = _ddt(traj, "N_partial", fd=_fd2)
-    m = traj.snapshots[k].metric
+    m = traj.states[k].metric
     norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R, m.dlog_R)
     db = boundary_value(m.log_R)
     rhs = 2.0 * integrate_volume(m.R * norm_sq, m) + 2.0 * integrate_boundary(
@@ -459,20 +450,13 @@ def _hemisphere(grid):
     return spherical_cap(CapParams(1.0), grid)
 
 
-# the flow studies read records only, so their runs keep two snapshots
 def _study_entropy_constancy(grid):
-    traj = run(
-        _hemisphere(grid), FlowSchedule(t_end=0.01, record_every=5), w_horizon=0.5,
-        keep_every_snapshot=False,
-    )
+    traj = run(_hemisphere(grid), FlowSchedule(t_end=0.01, record_every=5), w_horizon=0.5)
     return max(abs(r.E_partial) for r in traj.records), traj.records[1].t
 
 
 def _study_hamilton(grid):
-    traj = run(
-        _cap_study_metric(grid), FlowSchedule(t_end=0.005, record_every=5), w_horizon=0.5,
-        keep_every_snapshot=False,
-    )
+    traj = run(_cap_study_metric(grid), FlowSchedule(t_end=0.005, record_every=5), w_horizon=0.5)
     return check_theorem_hamilton(traj).abs_err, traj.records[1].t
 
 

@@ -411,6 +411,17 @@ def test_run_is_deterministic(tmp_path):
     assert (tmp_path / "traj.csv").read_bytes() == first
 
 
+def test_verify_is_deterministic(tmp_path):
+    checks = "hamilton, kappa_evolution, normal_lemmas, second_derivative_N, relation"
+    cfg = _write_config(tmp_path / "c.cfg", **{"verify.checks": checks})
+    codes = [main(["verify", str(cfg)])]
+    first = (tmp_path / "report.jsonl").read_bytes()
+    codes.append(main(["verify", str(cfg)]))
+    assert codes[0] == codes[1] in (EXIT_OK, EXIT_VERIFY)
+    assert len(first.splitlines()) == 5
+    assert (tmp_path / "report.jsonl").read_bytes() == first
+
+
 def test_main_dispatch(tmp_path):
     cfg = _write_config(tmp_path / "c.cfg")
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -455,7 +466,7 @@ def test_cmd_run_writes_the_records_of_a_full_run(tmp_path, monkeypatch):
     assert main(["run", str(path)]) == EXIT_OK
     cfg = parse_config(str(path))
     full = run(_initial_metric(cfg), cfg.schedule, cfg.w_horizon)
-    assert len(full.records) > 3
-    assert [len(traj.snapshots) for traj in runs] == [2]
+    assert len(full.records) > 5
+    assert [len(traj.snapshots) for traj in runs] == [5]
     rows = [",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS) for rec in full.records]
     assert (tmp_path / "traj.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)] + rows

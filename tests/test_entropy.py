@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from math import log, pi, sqrt
 
+import riccidisk.flow
 from riccidisk import _kernels
 from riccidisk.elliptic import potential_f
 from riccidisk.entropy import (
@@ -15,9 +16,10 @@ from riccidisk.entropy import (
     soliton_residual_L2,
     w_functional,
 )
-from riccidisk.errors import DomainError, UsageError
-from riccidisk.flow import FlowSchedule, run
+from riccidisk.errors import DomainError
+from riccidisk.flow import FlowSchedule, Termination, run
 from riccidisk.geometry import (
+    EULER_CHARACTERISTIC,
     ConformalMetric,
     boundary_gradient_inner,
     gauss_bonnet_residual,
@@ -233,11 +235,32 @@ def test_euler_form_matches_entropy(grid_1d):
     assert max(errs) < 5e-4
 
 
-def test_euler_form_rejects_an_ends_only_trajectory(grid_1d):
+def _ref_entropy_euler_form(records, states):
+    """The Euler form read from a state per record, as before records kept int kappa ds."""
+    chi = EULER_CHARACTERISTIC
+    times = [s.t for s in states]
+    k_int = [s.metric.int_kappa for s in states]
+    out, cumulative = [], 0.0
+    for k, t in enumerate(times):
+        if k > 0:
+            cumulative += 0.5 * (k_int[k] + k_int[k - 1]) * (times[k] - times[k - 1])
+        den = 1.0 - k_int[k] / (2.0 * pi * chi)
+        num = (1.0 - t) + cumulative / (2.0 * pi * chi)
+        out.append(records[k].N_partial + 4.0 * pi * chi * den * log(num / den))
+    return out
+
+
+@pytest.mark.parametrize("max_steps", [None, 20])
+def test_euler_form_matches_the_per_record_reference(
+    grid_1d, monkeypatch, run_keeping_every_state, max_steps
+):
+    # the run to t_end, and one that the step limit stops between records
+    # (three super-steps make a record interval)
+    if max_steps is not None:
+        monkeypatch.setattr(riccidisk.flow, "MAX_STEPS", max_steps)
     m = spherical_cap(CapParams(0.5), grid_1d, normalize_volume=True)
-    traj = run(
-        m, FlowSchedule(t_end=0.005, record_every=50), w_horizon=0.5, keep_every_snapshot=False
-    )
-    assert len(traj.snapshots) == 2 < len(traj.records)
-    with pytest.raises(UsageError, match="keep_every_snapshot"):
-        entropy_euler_form(traj)
+    traj, states = run_keeping_every_state(m, FlowSchedule(t_end=0.05, record_every=50))
+    limited = traj.termination is Termination.STEP_LIMIT
+    assert limited == (max_steps is not None)
+    assert len(traj.snapshots) < len(traj.records)
+    assert entropy_euler_form(traj) == _ref_entropy_euler_form(traj.records, states)

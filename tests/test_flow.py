@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riccidisk import _kernels, flow
+from riccidisk import _kernels, cli, entropy, flow
 from riccidisk.errors import (
     BoundaryClosureError,
     DomainError,
@@ -30,7 +30,12 @@ from riccidisk.geometry import (
     make_metric,
     scalar_curvature,
 )
-from riccidisk.grid import GridSpec, build_grid, radial_derivative_at_boundary_interior
+from riccidisk.grid import (
+    GridSpec,
+    boundary_value,
+    build_grid,
+    radial_derivative_at_boundary_interior,
+)
 from riccidisk.initial_data import (
     CapParams,
     PerturbationParams,
@@ -247,8 +252,8 @@ def test_record_bookkeeping(grid_1d):
     traj = run(m0, FlowSchedule(t_end=0.002, record_every=10), w_horizon=0.5)
     assert traj.records[0].t == 0.0
     assert traj.records[-1].t == pytest.approx(0.002, abs=1e-12)
-    assert len(traj.records) == len(traj.snapshots)
     assert len(traj.records) >= 3
+    assert [sn.t for sn in traj.snapshots] == [traj.records[i].t for i in sorted(traj.states)]
 
 
 def test_horizon_must_exceed_t_end(hemisphere_1d):
@@ -549,7 +554,14 @@ def test_step_fails_like_reference_step(grid_2d, case, error):
     assert raised == [error, error]
 
 
-# A run that keeps only its ends: same records, two snapshots
+# What a run holds: every record with its boundary trace of R and int
+# kappa ds, and the states of its two ends and of its probe triple
+
+
+def _probe_rule(records, t_end):
+    """The first record at or after t_end / 2 with a later one, else the last but one."""
+    later = [i for i, r in enumerate(records[:-1]) if r.t >= 0.5 * t_end]
+    return later[0] if later else len(records) - 2
 
 
 def _assert_same_state(snap, state):
@@ -558,85 +570,123 @@ def _assert_same_state(snap, state):
     assert np.array_equal(snap.metric.u_ghost, state.metric.u_ghost)
 
 
+def _assert_holds_its_ends_and_probe_triple(traj, states):
+    """``traj`` against ``states``, the state of every record of the same run."""
+    n, k = len(traj.records), traj.probe
+    assert sorted(traj.states) == sorted({0, n - 1} | {i for i in (k - 1, k, k + 1) if i >= 0})
+    assert traj.snapshots == [traj.states[i] for i in sorted(traj.states)]
+    for i, held in traj.states.items():
+        _assert_same_state(held, states[i])
+    assert len(traj.boundary_R) == len(traj.int_kappa) == n
+    for i, s in enumerate(states):
+        assert np.array_equal(traj.boundary_R[i], boundary_value(scalar_curvature(s.metric)))
+        assert traj.int_kappa[i] == s.metric.int_kappa
+
+
 @pytest.mark.parametrize("n_r, n_theta, mode", [(128, 1, 0), (64, 32, 2), (128, 64, 3)])
-def test_ends_only_run_has_the_records_of_a_full_run(n_r, n_theta, mode):
+def test_run_holds_its_ends_and_probe_triple(n_r, n_theta, mode, run_keeping_every_state):
+    # a record per step: the states of records 1, 2 and 6, 7 are dropped
     m0 = _start(n_r, n_theta, mode)
-    sched = FlowSchedule(t_end=7.5 * cfl_dt(m0, 0.8), record_every=2)
-    full = run(m0, sched, w_horizon=0.5)
-    ends = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
-    assert len(full.records) == 5
-    assert ends.records == full.records
-    assert ends.termination is full.termination is Termination.COMPLETED
-    assert len(ends.snapshots) == 2
-    _assert_same_state(ends.snapshots[0], full.snapshots[0])
-    _assert_same_state(ends.snapshots[-1], full.snapshots[-1])
+    sched = FlowSchedule(t_end=7.5 * cfl_dt(m0, 0.8), record_every=1)
+    traj, states = run_keeping_every_state(m0, sched)
+    assert traj.termination is Termination.COMPLETED
+    assert len(traj.records) == 9
+    assert traj.probe == _probe_rule(traj.records, sched.t_end) == 4
+    assert len(traj.snapshots) == 5
+    _assert_same_state(traj.snapshots[0], FlowState(0.0, m0))
+    _assert_holds_its_ends_and_probe_triple(traj, states)
 
 
 @pytest.mark.parametrize("per_record", [1, 2, 10])
-def test_ends_only_step_limit_keeps_the_last_state(grid_1d, monkeypatch, per_record):
-    # super-steps of 17 steps, ``per_record`` of them to a record interval
+def test_step_limit_keeps_the_last_state(
+    grid_1d, monkeypatch, per_record, run_keeping_every_state
+):
+    # super-steps of 17 steps, ``per_record`` of them to a record interval;
+    # the run stops long before t_end / 2 and probes its last three records
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     m0 = spherical_cap(CapParams(0.5), grid_1d)
     sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
-    full = run(m0, sched, w_horizon=0.5)
-    traj = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+    traj, states = run_keeping_every_state(m0, sched)
     s = _super_steps_at(m0, 17, 3)
     assert traj.termination is Termination.STEP_LIMIT
-    assert traj.records == full.records
-    assert traj.records[-1].t == s.t
-    assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
+    assert len(traj.records) == {1: 4, 2: 3, 10: 2}[per_record]
+    assert traj.records[-1] == entropy.make_record(s.metric, s.t, 0.5)
+    assert traj.probe == len(traj.records) - 2
     assert np.array_equal(traj.snapshots[0].metric.u, m0.u)
     _assert_same_state(traj.snapshots[-1], s)
+    _assert_holds_its_ends_and_probe_triple(traj, states)
 
 
 @pytest.mark.parametrize("per_record", [1, 2, 3, 10])
-def test_ends_only_positivity_loss_keeps_the_last_accepted_state(
-    grid_1d, monkeypatch, per_record
+def test_positivity_loss_keeps_the_last_accepted_state(
+    grid_1d, monkeypatch, per_record, run_keeping_every_state
 ):
     m0 = spherical_cap(CapParams(0.5), grid_1d)
     sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
+    args = []
 
-    def run_failing_at_step_4(keep_every_snapshot):
-        args = []
+    def failing_step(s, dt, stages):
+        args.append((dt, stages))
+        if len(args) == 4:
+            raise PositivityError("min R is not positive", min_r=-1.0)
+        return step(s, dt, stages)
 
-        def failing_step(s, dt, stages):
-            args.append((dt, stages))
-            if len(args) == 4:
-                raise PositivityError("min R is not positive", min_r=-1.0)
-            return step(s, dt, stages)
-
-        monkeypatch.setattr(flow, "step", failing_step)
-        return run(m0, sched, 0.5, keep_every_snapshot=keep_every_snapshot), args
-
-    full, _ = run_failing_at_step_4(True)
-    traj, args = run_failing_at_step_4(False)
+    monkeypatch.setattr(flow, "step", failing_step)
+    traj, states = run_keeping_every_state(m0, sched)
     s = FlowState(0.0, m0)
     for dt, stages in args[:3]:
         s = step(s, dt, stages)
     assert traj.termination is Termination.POSITIVITY_LOST
-    assert traj.records == full.records
-    assert traj.records[-1].t == s.t
-    assert [sn.t for sn in traj.snapshots] == [0.0, s.t]
+    assert traj.records[-1] == entropy.make_record(s.metric, s.t, 0.5)
+    assert traj.probe == len(traj.records) - 2
     _assert_same_state(traj.snapshots[-1], s)
+    _assert_holds_its_ends_and_probe_triple(traj, states)
 
 
-def test_ends_only_run_memory_does_not_grow_with_records(grid_2d, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_run_memory_does_not_grow_with_records(grid_2d, monkeypatch, tmp_path, command):
     # tracemalloc sees numpy's buffers.  Each extra record adds the record
-    # itself (about 0.7 KB); a snapshot per record would add 16.6 KB.
+    # itself (about 0.7 KB) and its boundary trace of R (32 values); a state
+    # per record would add 16.6 KB.  ``verify`` runs the flow through
+    # ``cli.run`` and then its snapshot checks, as ``riccidisk verify`` does.
     m0 = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
-    sched = FlowSchedule(t_end=0.01, record_every=1)
+    dt = cfl_dt(m0, 0.8)
+    runs = []
 
-    def traced_peak(n_records):
-        monkeypatch.setattr(flow, "MAX_STEPS", n_records - 1)
+    def spy(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "_initial_metric", lambda cfg: m0)
+    monkeypatch.setattr(cli, "run", spy)
+
+    def traced_peak(n_steps):
+        sched = FlowSchedule(t_end=float((n_steps - 0.5) * dt), record_every=1)
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(
+            f"grid.n_r = 64\ngrid.n_theta = 32\ninitial.cap_c = 0.5\ninitial.eps = 0.05\n"
+            f"initial.mode = 2\nschedule.t_end = {sched.t_end!r}\nschedule.cfl_safety = 0.8\n"
+            f"schedule.record_every = 1\nw.horizon = 0.5\n"
+            f"out.trajectory_csv = {tmp_path / 'traj.csv'}\n"
+            f"out.report_jsonl = {tmp_path / 'report.jsonl'}\n"
+            "verify.checks = kappa_evolution, normal_lemmas, second_derivative_N\n",
+            encoding="utf-8",
+        )
+        runs.clear()
         tracemalloc.start()
         try:
-            traj = run(m0, sched, w_horizon=0.5, keep_every_snapshot=False)
+            if command == "run":
+                spy(m0, sched, 0.5)
+            else:
+                assert cli.main(["verify", str(cfg)]) in (cli.EXIT_OK, cli.EXIT_VERIFY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(traj.records) == n_records
-        return peak
+        (traj,) = runs
+        assert traj.termination is Termination.COMPLETED
+        return peak, len(traj.records)
 
     traced_peak(3)  # fills the caches that outlive a run
-    per_record = (traced_peak(200) - traced_peak(20)) / 180
-    assert per_record < 2048
+    (peak_20, n_20), (peak_200, n_200) = traced_peak(20), traced_peak(200)
+    assert n_200 - n_20 > 170
+    assert (peak_200 - peak_20) / (n_200 - n_20) < 2048
