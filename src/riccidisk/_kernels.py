@@ -1,14 +1,16 @@
 """Hot numeric kernels for the flow inner loop, vectorized with numpy.
 
-Every RKL2 stage calls the ghost closure, which returns the curvature it
-closes along with the ghost ring, so a stage costs one flux-Laplacian
-pass.  The kernels are written to cost their arithmetic and little else:
-the grid-constant stencil coefficients come precomputed (the columns of
-:func:`flux_stencil`, copied once per grid into full planes, so that
-every operation runs on contiguous arrays of one shape instead of
-broadcasting a column), and periodic neighbours in theta come from
-:func:`roll_theta` (two slice copies; ``np.roll`` spends microseconds of
-Python per call whatever the array size).
+The flat flux Laplacian has one body, ``_neg_lap_inner``: it forms
+-lap0 phi term by term on every ring but the last, the one ring that reads
+the ghost, and returns that ring's inward flux and angular terms.
+:func:`flux_laplacian` and :func:`curvature` finish the last ring from a
+given ghost; the ghost closure :func:`curvature_neumann_ghost`, which
+every RKL2 stage calls, first solves it for the ghost that closes
+R_nu = 0, so a stage costs one flux-Laplacian pass.  The stencil
+coefficients come precomputed as full planes (the columns of
+:func:`flux_stencil`, copied once per grid), so no operation broadcasts a
+column, and periodic neighbours in theta come from :func:`roll_theta`
+(two slice copies; ``np.roll`` spends microseconds of Python per call).
 
 Reductions are exactly rounded (:func:`kahan_sum`), so they do not depend
 on summation order and results are bit-reproducible across runs.  A large
@@ -140,36 +142,57 @@ def theta_term(phi, denom, out=None):
     return ang
 
 
+def _neg_lap_inner(phi, r_out, r_in, r_dr2, r2_dtheta2):
+    """-lap0 phi, term by term, on rings 0 .. n-2, which never read the ghost.
+
+    Returns ``(neg_lap, inward, ang)``: an (n_r, n_theta) array whose last
+    ring ``_neg_lap_last`` fills once the ghost is known, and that ring's
+    inward flux term r_in (phi[-1] - phi[-2]) and angular term (None when
+    n_theta == 1).
+    """
+    n_r, n_t = phi.shape
+    # jump[k] = phi[k] - phi[k - 1] across the face below ring k, zero below
+    # the pole (where r_in is zero)
+    jump = np.empty((n_r, n_t))
+    jump[0] = phi[0]
+    np.subtract(phi[1:], phi[:-1], out=jump[1:])
+    neg_lap = np.empty((n_r, n_t))
+    inner = np.multiply(r_out[:-1], jump[1:], out=neg_lap[:-1])  # outward flux
+    inward = np.multiply(r_in, jump, out=jump)
+    np.subtract(inward[:-1], inner, out=inner)
+    inner /= r_dr2[:-1]
+    ang = None
+    if n_t > 1:
+        ang = theta_term(phi, r2_dtheta2)
+        inner -= ang[:-1]
+        ang = ang[-1]
+    return neg_lap, inward[-1], ang
+
+
+def _neg_lap_last(phi, ghost, inward, ang, r_out, r_dr2):
+    """-lap0 phi on the last ring, out of place (cheaper on a short row)."""
+    last = (inward - r_out[-1] * (ghost - phi[-1])) / r_dr2[-1]
+    return last if ang is None else last - ang
+
+
 def flux_laplacian(phi, ghost, r_out, r_in, r_dr2, r2_dtheta2):
     """Flat polar Laplacian in conservative flux form.
 
-    The coefficients are the planes of ``PolarGrid.stencil``.  Zero flux
-    area at the pole closes the inner edge; ``ghost`` supplies the value
-    ring at r = 1 + dr/2.
+    Zero flux area at the pole closes the inner edge; ``ghost`` supplies
+    the value ring at r = 1 + dr/2.
     """
-    n_r, n_t = phi.shape
-    # jump[k] = phi[k] - phi[k - 1] across the face below ring k, with the
-    # ghost as ring n_r and zero below the pole (where r_in is zero)
-    jump = np.empty((n_r + 1, n_t))
-    jump[0] = phi[0]
-    np.subtract(phi[1:], phi[:-1], out=jump[1:n_r])
-    np.subtract(ghost, phi[-1], out=jump[n_r])
-    lap = r_out * jump[1:]
-    # jump is then scratch: with fewer live temporaries, a large grid does
-    # not hand its heap back to the OS and fault it in again on every call
-    lap -= np.multiply(r_in, jump[:-1], out=jump[:-1])
-    lap /= r_dr2
-    if n_t > 1:
-        lap += theta_term(phi, r2_dtheta2, out=jump[1:])
-    return lap
+    neg_lap, inward, ang = _neg_lap_inner(phi, r_out, r_in, r_dr2, r2_dtheta2)
+    neg_lap[-1] = _neg_lap_last(phi, ghost, inward, ang, r_out, r_dr2)
+    # 0 - x is -x exactly, and keeps a zero Laplacian +0
+    return np.subtract(0.0, neg_lap, out=neg_lap)
 
 
 def curvature(u, ghost, r_out, r_in, r_dr2, r2_dtheta2):
-    """Scalar curvature R = -exp(-u) * lap0(u) of the metric exp(u) g0."""
-    lap = flux_laplacian(u, ghost, r_out, r_in, r_dr2, r2_dtheta2)
+    """Scalar curvature R = exp(-u) (-lap0 u) of the metric exp(u) g0."""
+    neg_lap, inward, ang = _neg_lap_inner(u, r_out, r_in, r_dr2, r2_dtheta2)
+    neg_lap[-1] = _neg_lap_last(u, ghost, inward, ang, r_out, r_dr2)
     R = np.exp(-u)
-    np.negative(R, out=R)  # in place, like the temporaries of flux_laplacian
-    R *= lap
+    R *= neg_lap
     return R
 
 
@@ -177,44 +200,20 @@ def curvature_neumann_ghost(u, r_out, r_in, r_dr2, r2_dtheta2):
     """Ghost ring of u enforcing the discrete curvature Neumann condition, and R.
 
     Returns ``(ghost, R)``, with R bit-identical to ``curvature(u, ghost,
-    ...)`` up to the sign of a zero: R is built as exp(-u) (-lap0 u) with
-    -lap0 u formed term by term, and IEEE negation is exact, so no pass
-    negates a field.  The outward derivative of R at r=1 is extrapolated
-    from the last three interior rings; only R on the outermost ring
-    depends on the ghost, and it does so linearly, so the closure is a
-    direct per-node solve once R on the other rings is known.
+    ...)``.  The outward derivative of R at r=1 is extrapolated from the
+    last three interior rings; only R on the last ring depends on the
+    ghost, linearly, so the closure is a direct per-node solve.
     """
-    n_r, n_t = u.shape
-    # jump[k] = u[k] - u[k - 1] across the face below ring k, zero below
-    # the pole (where r_in is zero); the face above the last ring waits
-    # for the ghost
-    jump = np.empty((n_r, n_t))
-    jump[0] = u[0]
-    np.subtract(u[1:], u[:-1], out=jump[1:])
-    outward = r_out[:-1] * jump[1:]    # rings 0 .. n-2: no ghost
-    # jump is then the inward flux r_in jump, the closure's last term
-    inward = np.multiply(r_in, jump, out=jump)
-    # -lap0 u on rings 0 .. n-2, term by term, in the outward flux's array
-    neg_lap = np.subtract(inward[:-1], outward, out=outward)
-    neg_lap /= r_dr2[:-1]
-    if n_t > 1:
-        ang = theta_term(u, r2_dtheta2)
-        neg_lap -= ang[:-1]
+    neg_lap, inward, ang = _neg_lap_inner(u, r_out, r_in, r_dr2, r2_dtheta2)
     R = np.exp(-u)
-    R[:-1] *= neg_lap
-
-    # the last ring, out of place: on a short row an in-place ufunc costs
-    # more than a new array
+    R[:-1] *= neg_lap[:-1]
     r_target = 1.5 * R[-2] - 0.5 * R[-3]
     u_b = u[-1]
     # the radial part of -lap0 u that gives the last ring the target R
     neg_radial = r_target * np.exp(u_b)
-    if n_t > 1:
-        neg_radial = neg_radial + ang[-1]
+    if ang is not None:
+        neg_radial = neg_radial + ang
     # the outer face radius of the last ring is 1
-    ghost = u_b - r_dr2[-1] * neg_radial + inward[-1]
-    last = (inward[-1] - r_out[-1] * (ghost - u_b)) / r_dr2[-1]
-    if n_t > 1:
-        last = last - ang[-1]
-    R[-1] = R[-1] * last
+    ghost = u_b - r_dr2[-1] * neg_radial + inward
+    R[-1] = R[-1] * _neg_lap_last(u, ghost, inward, ang, r_out, r_dr2)
     return ghost, R

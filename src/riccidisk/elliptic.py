@@ -126,7 +126,15 @@ class NeumannSolution:
 
 
 def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
-    """Solve lap_g f = rho, f_nu = 0, returning the mean-zero solution."""
+    """Solve lap_g f = rho, f_nu = 0, returning the mean-zero solution.
+
+    The data must integrate to zero within COMPAT_TOL * max|rho| * v(M).
+    """
+    return _solve_neumann(rho, m, float(np.max(np.abs(rho))))
+
+
+def _solve_neumann(rho, m: ConformalMetric, scale: float) -> NeumannSolution:
+    """:func:`solve_poisson_neumann`, with ``scale`` in place of max|rho|."""
     grid = m.grid
     n = grid.n_r * grid.n_theta
     v_m = m.v_M
@@ -138,11 +146,10 @@ def solve_poisson_neumann(rho, m: ConformalMetric) -> NeumannSolution:
     b = b.ravel()
     total = kahan_sum(b)  # int rho dv_g
     compat = abs(total)
-    scale = float(np.max(np.abs(rho)))
     if not compat <= COMPAT_TOL * scale * v_m:
         raise CompatibilityError(
             f"Neumann compatibility violated: |int rho dv| = {compat:.3e} "
-            f"exceeds {COMPAT_TOL:.1e} * ||rho|| * v(M)",
+            f"exceeds {COMPAT_TOL:.1e} * {scale:.3e} * v(M)",
             residual=compat,
         )
 
@@ -180,7 +187,12 @@ def potential_f(m: ConformalMetric) -> NeumannSolution:
     """Potential of the monotonicity formula: lap_g f = Rbar - R, f_nu = 0.
 
     The data integrates to zero analytically by the definition of Rbar, so
-    the reported compatibility residual is pure quadrature error.  R, Rbar
-    and v(M) are read from the metric, which evaluates them once.
+    the reported compatibility residual is pure quadrature error.  That
+    error is the rounding of the terms of size max|R| that Rbar - R
+    cancels, so it is judged against max|R| where that exceeds max|rho|,
+    as it does by orders of magnitude near blow-up.  R, Rbar and v(M) are
+    read from the metric, which evaluates them once.
     """
-    return solve_poisson_neumann(m.R_bar - m.R, m)
+    rho = m.R_bar - m.R
+    scale = max(float(np.max(np.abs(rho))), float(np.max(np.abs(m.R))))
+    return _solve_neumann(rho, m, scale)

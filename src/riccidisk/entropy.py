@@ -25,6 +25,7 @@ check: a metric with min R <= 0 (or NaN) raises ``DomainError`` from every
 functional that takes log R.
 """
 
+import sys
 from dataclasses import dataclass
 from math import log, pi, sqrt
 
@@ -47,6 +48,8 @@ from .grid import (
     integrate_boundary,
     integrate_volume,
 )
+
+_SQRT_DBL_MAX = sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -139,7 +142,10 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     R_b = boundary_value(m.R)
     log_R_b = boundary_value(m.log_R)
     grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)
-    bnd = 2.0 * tau * integrate_boundary(m.kappa * (R_b * grad_b_sq + 1.0 / tau**2), m)
+    # tau^2 overflows (a Python float raises) past the square root of the
+    # largest double, where 1 / tau^2 is subnormal
+    inv_tau_sq = 1.0 / tau**2 if tau < _SQRT_DBL_MAX else 1.0 / tau / tau
+    bnd = 2.0 * tau * integrate_boundary(m.kappa * (R_b * grad_b_sq + inv_tau_sq), m)
     return interior + bnd
 
 

@@ -86,7 +86,9 @@ def enforce_curvature_neumann(u, grid) -> ConformalMetric:
 
     Only the outermost ring of R depends on the ghost, and linearly, so the
     closure is a direct solve per boundary node; u is taken as it is.  The
-    closure evaluates R on the way, so the metric arrives with its R.
+    closure evaluates R on the way, with the flux-Laplacian body that
+    ``scalar_curvature`` uses, so the metric arrives with its R,
+    bit-identical to what that function would return.
     """
     ghost, R = _kernels.curvature_neumann_ghost(u, *grid.stencil)
     if not np.isfinite(ghost).all():

@@ -42,12 +42,15 @@ class ConformalMetric:
 
     What every diagnostic reads is evaluated on first use and kept on the
     metric: the curvature quantities R, log R, v(M), int R dv, Rbar, kappa
-    and int kappa ds; the conformal factors exp(u), exp(-u) and exp(-2u);
-    and the flat first derivatives (d_r, d_theta) of u (with its ghost
-    ring) and of log R (extrapolated ghost).  Metrics built by the
-    curvature-Neumann closure (``flow.enforce_curvature_neumann``, which
-    the flow and initial-data modules use) arrive with R already cached:
-    the closure evaluates it, bit-identical to :func:`scalar_curvature`.
+    and int kappa ds; the boundary trace u_b of u, which every boundary
+    operator and ``grid.integrate_boundary`` read; the conformal factors
+    exp(u), exp(-u) and exp(-2u); and the flat first derivatives (d_r,
+    d_theta) of u (with its ghost ring) and of log R (extrapolated ghost).
+    Metrics built by the curvature-Neumann closure
+    (``flow.enforce_curvature_neumann``, which the flow and initial-data
+    modules use) arrive with R already cached: the closure and
+    :func:`scalar_curvature` share one flux-Laplacian body in ``_kernels``
+    and finish its last ring alike, so the two are bit-identical.
     The factors and derivatives are read-only.  The arrays u and u_ghost
     must not be modified in place once the metric exists.
     """
@@ -77,6 +80,11 @@ class ConformalMetric:
         if not r_min > 0.0:
             raise DomainError(f"min R = {r_min:.3e} is not positive: log R undefined")
         return np.log(self.R)
+
+    @cached_property
+    def u_b(self) -> np.ndarray:
+        """u extrapolated to r = 1 (``grid.boundary_value``)."""
+        return _read_only(boundary_value(self.u))
 
     @cached_property
     def exp_u(self) -> np.ndarray:
@@ -145,9 +153,8 @@ def geodesic_curvature(m: ConformalMetric):
     flux of the discrete Laplacian, so int R dv + 2 int kappa ds = 4 pi
     holds to rounding for every ghost ring, not just asymptotically.
     """
-    u_b = boundary_value(m.u)
     du = (m.u_ghost - m.u[-1]) / m.grid.dr
-    return np.exp(-0.5 * u_b) * (1.0 + 0.5 * du)
+    return np.exp(-0.5 * m.u_b) * (1.0 + 0.5 * du)
 
 
 def hessian(f, m: ConformalMetric, grad, ghost=None):
@@ -245,17 +252,15 @@ def laplace_beltrami(f, m: ConformalMetric, ghost=None):
 
 def normal_derivative(field, m: ConformalMetric):
     """f_nu = exp(-u/2) d_r f at r = 1 (outward unit normal of g)."""
-    u_b = boundary_value(m.u)
-    return np.exp(-0.5 * u_b) * radial_derivative_at_boundary(field, m.grid)
+    return np.exp(-0.5 * m.u_b) * radial_derivative_at_boundary(field, m.grid)
 
 
 def boundary_gradient_inner(a_b, b_b, m: ConformalMetric):
     """<grad_dM a, grad_dM b> for boundary traces, metric exp(u) dtheta^2."""
     g = m.grid
-    u_b = boundary_value(m.u)
     da = d_theta(a_b, g)
     db = d_theta(b_b, g)
-    return np.exp(-u_b) * (da * db)
+    return np.exp(-m.u_b) * (da * db)
 
 
 def boundary_laplacian(b, m: ConformalMetric):
@@ -265,8 +270,7 @@ def boundary_laplacian(b, m: ConformalMetric):
     coefficients; identically zero on one angle.
     """
     g = m.grid
-    u_b = boundary_value(m.u)
-    a = np.exp(-0.5 * u_b)
+    a = np.exp(-0.5 * m.u_b)
     a_plus = 0.5 * (a + roll_theta(a, -1))
     a_minus = roll_theta(a_plus, 1)
     flux = a_plus * (roll_theta(b, -1) - b) - a_minus * (b - roll_theta(b, 1))

@@ -213,5 +213,4 @@ def integrate_volume(phi, metric):
 
 def integrate_boundary(psi, metric):
     """Integral of a boundary field against ds = exp(u/2) dtheta at r = 1."""
-    u_b = boundary_value(metric.u)
-    return _kernels.kahan_sum(psi * np.exp(0.5 * u_b) * metric.grid.dtheta)
+    return _kernels.kahan_sum(psi * np.exp(0.5 * metric.u_b) * metric.grid.dtheta)

@@ -224,8 +224,7 @@ def check_lemma_useful(m: ConformalMetric, f) -> IdentityReport:
     pointwise residual is largest, so abs_err is the max-norm residual.
     """
     grad_sq = grad_norm_sq(*gradient0(f, m.grid), m)
-    u_b = boundary_value(m.u)
-    left = np.exp(-0.5 * u_b) * _extract_cubic(grad_sq, m.grid, deriv=1)
+    left = np.exp(-0.5 * m.u_b) * _extract_cubic(grad_sq, m.grid, deriv=1)
 
     f_b = boundary_value(f)
     f_nu = normal_derivative(f, m)
@@ -323,11 +322,12 @@ def check_normal_lemmas(traj) -> IdentityReport:
     (b) |d_r (lap R)| at r = 1 on the latest state, which converges to 0
         at first order (one-sided third-derivative estimate).
 
-    With today's 2-D initial data the flux of (b) does not converge under
-    refinement (ROADMAP item C); ``perfbench/workloads.KNOWN_FAILURES`` lists it.
+    On c = 0.5 caps of modes 2 and 3 flowed to t = 2e-3, (b) fails at
+    64x32 and passes at 32x16 and at 128x64 (ROADMAP item C);
+    ``perfbench/workloads.KNOWN_FAILURES`` lists it for the 64x32 workload.
     """
     k, h1, h2 = _probe(traj)
-    nu = [np.exp(-0.5 * boundary_value(traj.states[i].metric.u)) for i in (k - 1, k, k + 1)]
+    nu = [np.exp(-0.5 * traj.states[i].metric.u_b) for i in (k - 1, k, k + 1)]
     lhs_field = _fd1(nu[0], nu[1], nu[2], h1, h2)
     rhs_field = 0.5 * traj.boundary_R[k] * nu[1]
     j = int(np.argmax(np.abs(lhs_field - rhs_field)))

@@ -246,6 +246,35 @@ def test_cmd_run_overflowing_amplitude(tmp_path, capsys, eps):
     assert "error:" in err and "Traceback" not in err
 
 
+def test_hemisphere_runs_to_its_blow_up_time(tmp_path):
+    # R = 2 / (1 - 2t) reaches 7.5e3 on 32 rings at t = 0.5; Rbar - R
+    # cancels it, and the integral of that data carries its rounding
+    cfg = _write_config(
+        tmp_path / "c.cfg", **{"grid.n_r": 32, "schedule.t_end": 0.5, "w.horizon": 1.0}
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    last = (tmp_path / "traj.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[0]) == 0.5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_horizon_past_sqrt_of_max_double_gives_finite_records(tmp_path, capsys, command):
+    # tau^2 overflows a double at this horizon; 1 / tau^2 must not
+    cfg = _write_config(
+        tmp_path / "c.cfg",
+        **{"grid.n_r": 16, "grid.n_theta": 8, "initial.cap_c": 0.5, "initial.eps": 0.05,
+           "initial.mode": 2, "schedule.t_end": 5e-4, "schedule.record_every": 1,
+           "w.horizon": 1e200},
+    )
+    assert main([command, str(cfg)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    if command == "run":
+        rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+        assert len(rows) > 2
+        assert np.isfinite([[float(x) for x in row.split(",")] for row in rows]).all()
+
+
 @pytest.mark.parametrize("key", sorted(k for k, t in KEYS.items() if t is float))
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cmd_run_rejects_non_finite_numbers(tmp_path, capsys, key, bad):

@@ -106,6 +106,13 @@ def test_incompatible_data_raises(hemisphere_1d):
         solve_poisson_neumann(rho, hemisphere_1d)
 
 
+def test_small_incompatible_data_raises(hemisphere_2d):
+    # the bound scales with max|rho|, so tiny data is held to it too
+    rho = np.full(hemisphere_2d.u.shape, 1e-30)
+    with pytest.raises(CompatibilityError):
+        solve_poisson_neumann(rho, hemisphere_2d)
+
+
 def test_solution_is_mean_zero_and_neumann(hemisphere_2d):
     m = hemisphere_2d
     rho = _mean_adjust(_mms_field(m.grid), m)
