@@ -101,12 +101,11 @@ def kahan_sum(values):
     return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-def roll_theta(a, shift, out=None):
-    """``np.roll(a, shift, axis=-1)`` by two slice copies, into ``out`` if given."""
+def roll_theta(a, shift):
+    """``np.roll(a, shift, axis=-1)`` by two slice copies."""
     n = a.shape[-1]
     s = shift % n
-    if out is None:
-        out = np.empty_like(a)
+    out = np.empty_like(a)
     out[..., s:] = a[..., :n - s]
     out[..., :s] = a[..., n - s:]
     return out
@@ -130,12 +129,12 @@ def flux_stencil(r, dr, dtheta):
     return tuple(c[:, None] for c in (r_out, r_in, r_dr2, r2_dtheta2))
 
 
-def theta_term(phi, denom, out=None):
+def theta_term(phi, denom):
     """Periodic second difference in theta over ``denom``, on n_theta > 1.
 
     ``denom`` is r^2 dtheta^2 in the flat Laplacian and dtheta^2 in d_tt.
     """
-    ang = roll_theta(phi, -1, out)
+    ang = roll_theta(phi, -1)
     ang -= 2.0 * phi
     ang += roll_theta(phi, 1)
     ang /= denom

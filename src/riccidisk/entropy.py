@@ -26,8 +26,8 @@ functional that takes log R.
 """
 
 import sys
-from dataclasses import dataclass
-from math import log, pi, sqrt
+from dataclasses import dataclass, fields
+from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -71,6 +71,17 @@ class EntropyRecord:
     kappa_min: float
     kappa_max: float
     soliton_residual_L2: float
+
+    def __post_init__(self):
+        require_finite(self, f"record at t = {self.t!r}")
+
+
+def require_finite(obj, what: str):
+    """Refuse a dataclass whose float fields hold an infinity or a NaN."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not isfinite(value):
+            raise DomainError(f"{what}: {f.name} = {value} is not finite")
 
 
 def _tau(tau: float) -> float:

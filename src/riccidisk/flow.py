@@ -5,8 +5,8 @@ of u before every right-hand-side evaluation; second-order
 Runge-Kutta-Legendre super-steps advance the interior values, each
 covering several steps at the forward-Euler bound of the discrete
 operator.  Positivity of R is a standing hypothesis and is monitored
-(never clamped): a violating super-step is rolled back and the trajectory
-terminates.
+(never clamped): a super-step that loses it, or that cannot be taken, is
+rolled back and the trajectory terminates with the records it has.
 """
 
 from dataclasses import dataclass, field
@@ -16,12 +16,22 @@ from functools import cache
 import numpy as np
 
 from . import _kernels, entropy
-from .errors import BoundaryClosureError, PositivityError, UsageError
+from .errors import BoundaryClosureError, DomainError, PositivityError, UsageError
 from .geometry import ConformalMetric
 from .grid import boundary_value
 
 
 class Termination(Enum):
+    """How a run ended; every cause but ``COMPLETED`` keeps the records so far.
+
+    ``POSITIVITY_LOST``: the super-step ended with min R <= 0 or NaN
+    (``PositivityError``), or its closure ghost or a stage was not finite
+    (``BoundaryClosureError``, ``DomainError``); either way the curvature
+    is no longer a positive finite field.  ``STEP_LIMIT``: ``MAX_STEPS``
+    super-steps were accepted, or the next one is too short to move t
+    (t + dt == t).
+    """
+
     COMPLETED = "completed"
     POSITIVITY_LOST = "positivity_lost"
     STEP_LIMIT = "step_limit"
@@ -226,13 +236,21 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     """Integrate to t_end (or early termination), recording entropy data.
 
     Records are taken at t = 0, every ``record_every`` steps at the
-    forward-Euler bound, and at the final accepted state, also when the run
-    stops early (after ``MAX_STEPS`` super-steps or at a super-step that
-    loses positivity).  A record interval is covered by the fewest equal
-    super-steps of at most ``MAX_STAGES`` stages: k = ceil(record_every /
-    17.5) super-steps of n = record_every / k forward-Euler steps each,
-    with the bound :func:`cfl_dt` recomputed at every super-step, and each
-    of the fewest stages that cover n.  The last super-step stops at t_end.
+    forward-Euler bound, and, by the one record call after the loop, at the
+    last accepted state, whether the run reached t_end or stopped early.
+    A run stops early, with the records it has, on the first super-step it
+    cannot take or accept: after ``MAX_STEPS`` accepted super-steps or at
+    one too short to move t (t + dt == t, as near a blow-up time), as
+    ``Termination.STEP_LIMIT``; at one whose ``step`` raises
+    ``PositivityError`` (min R <= 0 or NaN), ``BoundaryClosureError`` (a
+    non-finite closure ghost) or ``DomainError`` (a non-finite stage), as
+    ``Termination.POSITIVITY_LOST``.
+
+    A record interval is covered by the fewest equal super-steps of at
+    most ``MAX_STAGES`` stages: k = ceil(record_every / 17.5) super-steps
+    of n = record_every / k forward-Euler steps each, with the bound
+    :func:`cfl_dt` recomputed at every super-step, and each of the fewest
+    stages that cover n.  The last super-step stops at t_end.
 
     The stages are capped because the closure row is not a symmetric
     Gershgorin row and RKL2's stability region narrows as s grows.  On the
@@ -285,24 +303,24 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     stages = _stages(n)
     steps = 0
     while state.t < sched.t_end * (1.0 - 1e-14):
-        if steps >= MAX_STEPS:
-            traj.termination = Termination.STEP_LIMIT
-            break
         dt_fe = cfl_dt(state.metric, sched.cfl_safety)
         dt, s = n * dt_fe, stages
         if not dt < sched.t_end - state.t:
             dt = sched.t_end - state.t
             s = _stages(dt / dt_fe)
+        if steps >= MAX_STEPS or not state.t + dt > state.t:  # NaN fails too
+            traj.termination = Termination.STEP_LIMIT
+            break
         try:
             state = step(state, dt, s)
-        except PositivityError:
+        except (PositivityError, BoundaryClosureError, DomainError):
             traj.termination = Termination.POSITIVITY_LOST
             break
         steps += 1
-        if steps % per_record == 0 or state.t >= sched.t_end * (1.0 - 1e-14):
+        if steps % per_record == 0:
             record(state)
 
-    if traj.records[-1].t < state.t:  # an early stop between record steps
+    if traj.records[-1].t < state.t:  # the last accepted state, unless a record step
         record(state)
     if traj.probe is None:
         traj.probe = len(traj.records) - 2

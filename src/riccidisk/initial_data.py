@@ -50,7 +50,8 @@ class PerturbationParams:
             raise UsageError(f"angular mode must be nonnegative, got {self.mode}")
 
 
-def _cap_u(c, r):
+def cap_u(c, r):
+    """The cap profile u_c = log 4 - 2 log(1 + c r^2) at the radii ``r``."""
     return np.log(4.0) - 2.0 * np.log1p(c * r * r)
 
 
@@ -61,7 +62,7 @@ def spherical_cap(p: CapParams, grid: PolarGrid, normalize_volume=False) -> Conf
     for c < 1; it is the admissible family for the Euler-characteristic
     form of the entropy, which requires initial volume 4 pi chi.
     """
-    u = np.broadcast_to(_cap_u(p.c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
+    u = np.broadcast_to(cap_u(p.c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
     if normalize_volume:
         u += np.log(1.0 + p.c)
     return enforce_curvature_neumann(u, grid)
@@ -79,7 +80,7 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
 
     def build(eps):
         r = grid.r[:, None]
-        u = _cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 4 * np.cos(
+        u = cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 4 * np.cos(
             p.mode * grid.theta
         )[None, :]
         m, _ = project_compatibility(make_metric(u, grid))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import dE_dt_analytic, dN_dt, relation_residual
+from .entropy import dE_dt_analytic, dN_dt, relation_residual, require_finite
 from .errors import UsageError
 from .flow import FlowSchedule, run
 from .geometry import (
@@ -41,7 +41,7 @@ from .grid import (
     integrate_volume,
     radial_derivative_at_boundary_interior,
 )
-from .initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
+from .initial_data import CapParams, PerturbationParams, cap_u, perturbed_cap, spherical_cap
 
 # frozen tolerance constants; C1 absorbs the early-time third derivatives
 # of the entropies seen by the centered differences over records
@@ -59,6 +59,9 @@ class IdentityReport:
     grid: GridSpec
     dt: float
     passed: bool
+
+    def __post_init__(self):
+        require_finite(self, f"{self.name} report")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -378,7 +381,7 @@ def negctrl_incompatible_bc(grid: PolarGrid) -> IdentityReport:
     the two forms of dN/dt disagree; the control passes iff the check fails.
     """
     r = grid.r[:, None]
-    u = np.log(4.0) - 2.0 * np.log1p(0.5 * r * r) + 1.5 * (1.0 - r * r)
+    u = cap_u(0.5, r) + 1.5 * (1.0 - r * r)
     m = make_metric(np.broadcast_to(u, (grid.n_r, grid.n_theta)).copy(), grid)
     rep = check_lemma_time2(m)
     return replace(rep, name="negctrl_incompatible_bc")

@@ -257,6 +257,44 @@ def test_hemisphere_runs_to_its_blow_up_time(tmp_path):
     assert float(last[0]) == 0.5
 
 
+def test_run_past_the_blow_up_time_keeps_its_rows(tmp_path, capsys):
+    # on 8 rings t stops moving just past 0.5: the super-step that cannot
+    # move t ends the run with the rows of the states it accepted
+    cfg = _write_config(
+        tmp_path / "c.cfg",
+        **{"grid.n_r": 8, "schedule.t_end": 0.6, "schedule.record_every": 1000,
+           "w.horizon": 1.0},
+    )
+    assert main(["run", str(cfg)]) == EXIT_EARLY
+    err = capsys.readouterr().err
+    assert "flow terminated early: step_limit" in err and "Traceback" not in err
+    rows = (tmp_path / "traj.csv").read_text().splitlines()[1:]
+    values = np.array([[float(x) for x in row.split(",")] for row in rows])
+    assert len(rows) >= 4
+    assert np.isfinite(values).all()
+    assert (np.diff(values[:, 0]) > 0.0).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, check",
+    [("run", None), ("verify", "relation"), ("verify", "negctrl_relation_corrupt")],
+)
+def test_horizon_near_the_largest_double_is_refused(tmp_path, capsys, command, check):
+    # tau (R - |grad log R|^2) R overflows: W is infinite and the relation's
+    # residual NaN, which no record or report may hold
+    overrides = {"grid.n_r": 16, "grid.n_theta": 8, "initial.cap_c": 0.5,
+                 "schedule.t_end": 1e-3, "schedule.record_every": 1, "w.horizon": 1.7e308}
+    if check:
+        overrides["verify.checks"] = check
+    cfg = _write_config(tmp_path / "c.cfg", **overrides)
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "is not finite" in errors[0] and "Traceback" not in err
+    assert not (tmp_path / "traj.csv").exists() and not (tmp_path / "report.jsonl").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_horizon_past_sqrt_of_max_double_gives_finite_records(tmp_path, capsys, command):

@@ -617,10 +617,14 @@ def test_step_limit_keeps_the_last_state(
     _assert_holds_its_ends_and_probe_triple(traj, states)
 
 
+@pytest.mark.parametrize("error", [PositivityError, BoundaryClosureError, DomainError])
 @pytest.mark.parametrize("per_record", [1, 2, 3, 10])
 def test_positivity_loss_keeps_the_last_accepted_state(
-    grid_1d, monkeypatch, per_record, run_keeping_every_state
+    grid_1d, monkeypatch, per_record, error, run_keeping_every_state
 ):
+    # ``step`` raises each of these for a curvature that is no longer a
+    # positive finite field: min R <= 0 or NaN, a non-finite closure ghost,
+    # a non-finite stage
     m0 = spherical_cap(CapParams(0.5), grid_1d)
     sched = FlowSchedule(t_end=0.1, record_every=17 * per_record)
     args = []
@@ -628,7 +632,7 @@ def test_positivity_loss_keeps_the_last_accepted_state(
     def failing_step(s, dt, stages):
         args.append((dt, stages))
         if len(args) == 4:
-            raise PositivityError("min R is not positive", min_r=-1.0)
+            raise error("the super-step is rejected")
         return step(s, dt, stages)
 
     monkeypatch.setattr(flow, "step", failing_step)
@@ -639,6 +643,41 @@ def test_positivity_loss_keeps_the_last_accepted_state(
     assert traj.termination is Termination.POSITIVITY_LOST
     assert traj.records[-1] == entropy.make_record(s.metric, s.t, 0.5)
     assert traj.probe == len(traj.records) - 2
+    _assert_same_state(traj.snapshots[-1], s)
+    _assert_holds_its_ends_and_probe_triple(traj, states)
+
+
+def test_super_step_that_cannot_move_t_ends_the_run(
+    grid_1d, monkeypatch, run_keeping_every_state
+):
+    # after three super-steps the bound falls below half an ulp of t, as it
+    # does near a blow-up time: t + dt == t, so the fourth is not taken
+    monkeypatch.setattr(flow, "MAX_STEPS", 50)
+    bound = flow.cfl_dt
+    calls = []
+
+    def shrinking_cfl_dt(m, safety):
+        calls.append(m)
+        return bound(m, safety) if len(calls) <= 3 else 1.0e-30
+
+    taken = []
+
+    def counting_step(s, dt, stages):
+        taken.append((dt, stages))
+        return step(s, dt, stages)
+
+    monkeypatch.setattr(flow, "cfl_dt", shrinking_cfl_dt)
+    monkeypatch.setattr(flow, "step", counting_step)
+    m0 = spherical_cap(CapParams(0.5), grid_1d)
+    traj, states = run_keeping_every_state(m0, FlowSchedule(t_end=0.1, record_every=34))
+    s = FlowState(0.0, m0)
+    for dt, stages in taken:
+        s = step(s, dt, stages)
+    assert len(taken) == 3
+    assert s.t + 1.0e-30 * 17 == s.t
+    assert traj.termination is Termination.STEP_LIMIT
+    assert [r.t for r in traj.records] == [0.0, taken[0][0] + taken[1][0], s.t]
+    assert traj.records[-1] == entropy.make_record(s.metric, s.t, 0.5)
     _assert_same_state(traj.snapshots[-1], s)
     _assert_holds_its_ends_and_probe_triple(traj, states)
 
