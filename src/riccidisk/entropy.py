@@ -90,21 +90,33 @@ def _tau(tau: float) -> float:
     return tau
 
 
+def _entropy_parts(m: ConformalMetric) -> tuple:
+    """(N, Rd) = (int R log R dv, log Rbar int R dv), so that E = N - Rd."""
+    return integrate_volume(m.R * m.log_R, m), log(m.R_bar) * m.int_R
+
+
 def hamilton_entropy(m: ConformalMetric) -> float:
     """E = int R log(R / Rbar) dv; nonnegative by the discrete Jensen gap."""
-    return integrate_volume(m.R * m.log_R, m) - log(m.R_bar) * m.int_R
+    n_partial, r_partial = _entropy_parts(m)
+    return n_partial - r_partial
 
 
 def w_functional(m: ConformalMetric, tau: float) -> float:
+    """W at tau = T - t; infinite, without a numpy warning, where it overflows.
+
+    Every caller refuses a non-finite W (``EntropyRecord`` and, through
+    :func:`relation_residual`, the verify reports).
+    """
     tau = _tau(tau)
-    # (tau (R - |grad log R|^2) - log R - log tau) R, in place
-    integrand = grad_norm_sq(*m.dlog_R, m)
-    np.subtract(m.R, integrand, out=integrand)
-    integrand *= tau
-    integrand -= m.log_R
-    integrand -= log(tau)
-    integrand *= m.R
-    return integrate_volume(integrand, m) - 2.0 * log(tau) * m.int_kappa
+    with np.errstate(over="ignore"):
+        # (tau (R - |grad log R|^2) - log R - log tau) R, in place
+        integrand = grad_norm_sq(*m.dlog_R, m)
+        np.subtract(m.R, integrand, out=integrand)
+        integrand *= tau
+        integrand -= m.log_R
+        integrand -= log(tau)
+        integrand *= m.R
+        return integrate_volume(integrand, m) - 2.0 * log(tau) * m.int_kappa
 
 
 def _potential_terms(m: ConformalMetric, f) -> tuple:
@@ -192,12 +204,13 @@ def relation_residual(m: ConformalMetric, tau: float, dE_dt: float) -> tuple:
     the algebraic identity from time-discretization error.
     """
     tau = _tau(tau)
+    n_partial, r_partial = _entropy_parts(m)
     rhs_val = (
         tau * dE_dt
-        - hamilton_entropy(m)
+        - (n_partial - r_partial)
         - 4.0 * pi * EULER_CHARACTERISTIC * log(tau)
         + tau * m.v_M * m.R_bar**2
-        - log(m.R_bar) * m.int_R
+        - r_partial
     )
     w = w_functional(m, tau)
     return abs(w - rhs_val), w
@@ -243,8 +256,7 @@ def entropy_euler_form(traj) -> list:
 def make_record(m: ConformalMetric, t: float, w_horizon: float) -> EntropyRecord:
     """Assemble the per-snapshot diagnostics used by the flow and CLI."""
     tau = w_horizon - t
-    n_partial = integrate_volume(m.R * m.log_R, m)
-    r_partial = log(m.R_bar) * m.int_R
+    n_partial, r_partial = _entropy_parts(m)
     f = potential_f(m).f
     terms = _potential_terms(m, f)
     return EntropyRecord(

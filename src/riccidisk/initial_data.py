@@ -24,6 +24,7 @@ from .flow import enforce_curvature_neumann
 from .geometry import ConformalMetric, make_metric, scalar_curvature
 from .grid import (
     PolarGrid,
+    laplacian0,
     radial_derivative_at_boundary,
     radial_derivative_at_boundary_interior,
 )
@@ -141,36 +142,27 @@ def _smooth_residual(u, grid):
     return radial_derivative_at_boundary_interior(R, grid)
 
 
-def _colours(n_t):
-    """Columns of the ring in groups whose members lie at least 3 apart.
+def _jacobian(u, profile, grid):
+    """Exact Jacobian of ``_smooth_residual`` w.r.t. psi at u.
 
-    j mod 3 colours the first 3 (n_t // 3) columns; the one or two columns
-    left over take a colour each, so there are at most 5 groups.
+    psi_j moves column j of u by psi_j B(r); with a = B / (r dtheta)^2
+    (0 on one angle), column j of R = exp(-u) (-lap0 u) moves by
+    exp(-u) (-lap0 B + 2a) - B R and the columns j -/+ 1 by -exp(-u) a.
+    Each residual is one radial stencil of one column of R, so the
+    Jacobian is cyclic tridiagonal (diagonal on one angle).
     """
-    m = 3 * (n_t // 3)
-    return [np.arange(c, m, 3) for c in range(min(3, m))] + [
-        np.array([j]) for j in range(m, n_t)
-    ]
-
-
-def _jacobian(base_u, res, profile, grid):
-    """Forward-difference Jacobian of the residual w.r.t. psi, by column colouring.
-
-    Residual j reads u only in the columns j-1, j, j+1, so columns at
-    least 3 apart can share one bumped residual evaluation: each row of it
-    sees a single bumped column, the same inputs as a bump of that column
-    alone, so every entry is the double the column-by-column loop gives
-    (and the rows outside the band are that loop's exact zeros).
-    """
-    n_t = grid.n_theta
-    jac = np.zeros((n_t, n_t))
-    h = 1.0e-7
-    for cols in _colours(n_t):
-        bump = np.zeros(n_t)
-        bump[cols] = h
-        diff = (_smooth_residual(base_u + bump[None, :] * profile, grid) - res) / h
-        rows = (cols[:, None] + np.array([-1, 0, 1])) % n_t
-        jac[rows, cols[:, None]] = diff[rows]
+    # B as a theta-constant plane, on which the angular term of lap0 is 0
+    plane = np.broadcast_to(profile, u.shape)
+    exp_neg_u = np.exp(-u)
+    a = 0.0 if grid.n_theta == 1 else plane / grid.stencil[3]  # r^2 dtheta^2
+    move = exp_neg_u * (2.0 * a - laplacian0(plane, grid))
+    move -= plane * scalar_curvature(make_metric(u, grid))
+    jac = np.diag(radial_derivative_at_boundary_interior(move, grid))
+    if grid.n_theta > 1:
+        k = np.arange(grid.n_theta)
+        off = -radial_derivative_at_boundary_interior(exp_neg_u * a, grid)
+        jac[k, k - 1] = off
+        jac[k, (k + 1) % grid.n_theta] = off
     return jac
 
 
@@ -179,15 +171,18 @@ def project_compatibility(m: ConformalMetric):
 
     Adds psi(theta) * B(r) to u, with B a fixed smooth ramp on the band
     r in [1 - 4 dr, 1], and solves for psi by Newton so that the one-sided
-    d_r R(1) of the smoothly extended metric vanishes below PROJECTION_TOL;
-    the ghost ring is then re-enforced.  Returns (metric, correction norm);
+    d_r R(1) of the smoothly extended metric, (3 R[-2] - 5 R[-3] + 2 R[-4])
+    / dr with R = exp(-u) (-lap0 u), vanishes below PROJECTION_TOL; each
+    step solves with the closed-form Jacobian of :func:`_jacobian`.  The
+    ghost ring is then re-enforced.  Returns (metric, correction norm);
     idempotent within tolerance.
     """
     grid = m.grid
     profile = _band_profile(grid)[:, None]
     psi = np.zeros(grid.n_theta)
+    u = m.u
 
-    res = _smooth_residual(m.u, grid)
+    res = _smooth_residual(u, grid)
     scale = 1.0 + float(np.max(np.abs(res)))
     # the residual is computed through /dr^2 (curvature) and /dr (stencil),
     # so its roundoff floor scales like eps / dr^3
@@ -201,7 +196,7 @@ def project_compatibility(m: ConformalMetric):
             )
         if res_max <= tol:
             break
-        jac = _jacobian(m.u + psi[None, :] * profile, res, profile, grid)
+        jac = _jacobian(u, profile, grid)
         if not np.isfinite(jac).all():
             raise CompatibilityError(
                 "compatibility Jacobian is not finite", residual=res_max
@@ -212,7 +207,8 @@ def project_compatibility(m: ConformalMetric):
             raise CompatibilityError(
                 "compatibility Jacobian is singular", residual=res_max
             ) from None
-        res = _smooth_residual(m.u + psi[None, :] * profile, grid)
+        u = m.u + psi[None, :] * profile
+        res = _smooth_residual(u, grid)
     else:
         raise CompatibilityError(
             f"compatibility projection did not converge in {PROJECTION_MAX_ITER} "
@@ -220,8 +216,7 @@ def project_compatibility(m: ConformalMetric):
             residual=float(np.max(np.abs(res))),
         )
 
-    u_new = m.u + psi[None, :] * profile
-    projected = enforce_curvature_neumann(u_new, grid)
+    projected = enforce_curvature_neumann(u, grid)
     correction = float(np.max(np.abs(psi)))
     return projected, correction
 

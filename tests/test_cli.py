@@ -275,7 +275,6 @@ def test_run_past_the_blow_up_time_keeps_its_rows(tmp_path, capsys):
     assert (np.diff(values[:, 0]) > 0.0).all()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, check",
     [("run", None), ("verify", "relation"), ("verify", "negctrl_relation_corrupt")],
