@@ -12,10 +12,13 @@ coefficients come precomputed as full planes (the columns of
 column, and periodic neighbours in theta come from :func:`roll_theta`
 (two slice copies; ``np.roll`` spends microseconds of Python per call).
 
-Reductions are exactly rounded (:func:`kahan_sum`), so they do not depend
-on summation order and results are bit-reproducible across runs.  A large
+:func:`kahan_sum` is the exactly rounded sum, for the one reduction whose
+last bits are read: the Poisson compatibility total, a reported
+rounding-level residual.  It does not depend on summation order.  A large
 array is summed exactly in numpy, per binary exponent, and rounded once;
-``math.fsum`` handles the small and the exceptional arrays.
+``math.fsum`` handles the small and the exceptional arrays.  The
+quadratures (``grid.integrate_volume``, ``grid.integrate_boundary``) use
+``np.sum``, which is deterministic for one machine and numpy build.
 
 Array conventions: scalar fields are float64 arrays of shape (n_r, n_theta),
 of any strides; ghost rings and boundary fields have shape (n_theta,);

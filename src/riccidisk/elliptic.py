@@ -14,7 +14,10 @@ only and it is periodic in theta, so a DFT in theta splits it exactly into
 one tridiagonal system in r per angular mode (the pole-free FFT/tridiagonal
 scheme of M.-C. Lai, Numer. Methods PDE 17, 2001).  Solving those systems
 is an exact preconditioner: CG converges in one or two iterations, and the
-solution is accepted on its verified normwise backward error.
+solution is accepted on its verified normwise backward error.  The two
+Thomas recurrences of those solves run over the rings as log-step scans
+(``_operator``), a few whole-plane multiply-adds instead of a Python loop
+over the rings.
 """
 
 from dataclasses import dataclass
@@ -44,6 +47,22 @@ BACKWARD_TOL = 1.0e-12
 CG_MAXITER = 8
 
 
+def _scan_factors(coef):
+    """Products of ``coef`` over 1, 2, 4, ... consecutive rings.
+
+    Entry j of level k is coef[j] coef[j + 1] ... coef[j + 2^k - 1], so
+    level k + 1 is level k times itself shifted by 2^k entries.  The last
+    level has 2^k < n_r = len(coef) + 1, the number of rings.
+    """
+    levels = [coef]
+    s = 1
+    while 2 * s <= len(coef):
+        prev = levels[-1]
+        levels.append(prev[s:] * prev[:-s])
+        s *= 2
+    return levels
+
+
 @lru_cache(maxsize=8)
 def _operator(n_r: int, n_theta: int):
     """The exact preconditioner and ||A||_inf of the flat operator A.
@@ -55,6 +74,19 @@ def _operator(n_r: int, n_theta: int):
     -c_{i+1/2}.  Mode 0 carries the constant kernel: its last ring is
     pinned to 0 and its equation dropped, which leaves the grounded,
     nonsingular leading block; the preconditioner then removes the mean.
+
+    The Thomas factorization of every mode leaves two first-order
+    recurrences over the rings: the forward sweep y_i = b_i + f_i y_{i-1},
+    with f_i = -mult_i, and the back substitution x_i = y_i / p_i +
+    g_i x_{i+1}, with g_i = c_{i+1/2} / p_i.  Each runs as a log-step scan
+    (Kogge & Stone, IEEE Trans. Comput. C-22, 1973): the step of stride s
+    adds to every ring the partial sum of the ring s back (s ahead, in the
+    back substitution), carried over by the product of f (or g) across
+    those s rings, so that each ring then sums the terms of 2s rings.
+    ceil(log2 n_r) shifted multiply-adds of whole planes replace the
+    n_r - 1 row updates of each sweep; the products are computed here, once
+    per grid.  Mode 0's pinned ring has f = 0 and 1/p = 1, so it stays
+    exactly 0.
 
     Row i of A has the off-diagonal entries c_{i-1/2}, c_{i+1/2} (and a_i
     twice in 2-D) and their negated sum on the diagonal, so its absolute
@@ -83,15 +115,19 @@ def _operator(n_r: int, n_theta: int):
     mult[-1, 0] = 0.0
     pivot[-1, 0] = 1.0
     inv_pivot = 1.0 / pivot
+    # level k of the forward factors starts at ring 2^k, of the backward
+    # ones at ring 0
+    forward = _scan_factors(-mult[1:])
+    backward = _scan_factors(c[:, None] * inv_pivot[:-1])
 
     def solve(r):
         y = np.fft.rfft(r.reshape(n_r, n_theta), axis=1)
         y[-1, 0] = 0.0
-        for i in range(1, n_r):
-            y[i] -= mult[i] * y[i - 1]
-        y[-1] *= inv_pivot[-1]
-        for i in range(n_r - 2, -1, -1):
-            y[i] = (y[i] + c[i] * y[i + 1]) * inv_pivot[i]
+        for k, f in enumerate(forward):
+            y[1 << k:] += f * y[:-(1 << k)]
+        y *= inv_pivot
+        for k, g in enumerate(backward):
+            y[:-(1 << k)] += g * y[1 << k:]
         z = np.fft.irfft(y, n=n_theta, axis=1).ravel()
         return z - z.mean()
 
@@ -144,7 +180,9 @@ def _solve_neumann(rho, m: ConformalMetric, scale: float) -> NeumannSolution:
     b = rho * m.exp_u
     b *= grid.w_vol
     b = b.ravel()
-    total = kahan_sum(b)  # int rho dv_g
+    # int rho dv_g, exactly rounded: for compatible data it is the rounding
+    # residual of a cancellation, which the solve reports and judges
+    total = kahan_sum(b)
     compat = abs(total)
     if not compat <= COMPAT_TOL * scale * v_m:
         raise CompatibilityError(

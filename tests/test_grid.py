@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,14 @@ from riccidisk.grid import (
     d_theta,
     ghost_extrapolate,
     ghost_mirror,
+    integrate_boundary,
+    integrate_volume,
     laplacian0,
     radial_derivative_at_boundary,
     radial_derivative_at_boundary_interior,
     _resolve_ghost,
 )
+from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap
 
 
 def test_spec_validation_rejects_small_n_r():
@@ -71,6 +76,33 @@ def test_flat_quadrature_1d_path():
     g = build_grid(GridSpec(64, 1))
     ones = np.ones((64, 1))
     assert kahan_sum((ones * g.w_vol).ravel()) == pytest.approx(np.pi, abs=1e-14)
+
+
+def _within_float_sum_bound(got, terms):
+    """|got - exact sum| <= n eps sum|terms|, the bound of any float sum."""
+    terms = np.ravel(terms).tolist()
+    bound = len(terms) * np.finfo(np.float64).eps * math.fsum(map(abs, terms))
+    return abs(got - math.fsum(terms)) <= bound
+
+
+@pytest.mark.parametrize("data", ["random", "cancelling"])
+@pytest.mark.parametrize("n_r,n_theta", [(128, 1), (64, 32)])
+def test_quadrature_is_within_the_float_sum_bound_of_the_exact_sum(n_r, n_theta, data):
+    # the quadratures are not exactly rounded; this pins the bound that
+    # replaces exactness, against math.fsum of the same weighted terms
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 0 if n_theta == 1 else 2), g)
+    rng = np.random.default_rng(n_r * n_theta)
+    phi = 1e8 * rng.standard_normal((n_r, n_theta))
+    psi = 1e8 * rng.standard_normal(n_theta)
+    ds = np.exp(0.5 * m.u_b) * g.dtheta
+    if data == "cancelling":
+        # mean-zero against the measure: the exact sums are rounding-sized
+        phi -= math.fsum((phi * m.exp_u * g.w_vol).ravel().tolist()) / m.v_M
+        psi -= math.fsum((psi * ds).tolist()) / math.fsum(ds.tolist())
+    assert _within_float_sum_bound(integrate_volume(phi, m), phi * m.exp_u * g.w_vol)
+    terms = psi * np.exp(0.5 * m.u_b) * g.dtheta
+    assert _within_float_sum_bound(integrate_boundary(psi, m), terms)
 
 
 def test_laplacian_exact_on_quadratic():
