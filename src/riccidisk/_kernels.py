@@ -4,13 +4,15 @@ The flat flux Laplacian has one body, ``_neg_lap_inner``: it forms
 -lap0 phi term by term on every ring but the last, the one ring that reads
 the ghost, and returns that ring's inward flux and angular terms.
 :func:`flux_laplacian` and :func:`curvature` finish the last ring from a
-given ghost; the ghost closure :func:`curvature_neumann_ghost`, which
-every RKL2 stage calls, first solves it for the ghost that closes
-R_nu = 0, so a stage costs one flux-Laplacian pass.  The stencil
-coefficients come precomputed as full planes (the columns of
-:func:`flux_stencil`, copied once per grid), so no operation broadcasts a
-column, and periodic neighbours in theta come from :func:`roll_theta`
-(two slice copies; ``np.roll`` spends microseconds of Python per call).
+given ghost; every RKL2 stage calls :func:`curvature` with the ghost of
+the frozen boundary flux, one flux-Laplacian pass.  The ghost closure
+:func:`curvature_neumann_ghost` first solves the last ring for the ghost
+that closes R_nu = 0; it closes initial data and the t = 0 state of a
+run.  The stencil coefficients come precomputed as full planes (the
+columns of :func:`flux_stencil`, copied once per grid), so no operation
+broadcasts a column, and periodic neighbours in theta come from
+:func:`roll_theta` (two slice copies; ``np.roll`` spends microseconds of
+Python per call).
 
 :func:`kahan_sum` is the exactly rounded sum, for the one reduction whose
 last bits are read: the Poisson compatibility total, a reported

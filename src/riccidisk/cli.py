@@ -23,7 +23,9 @@ from .errors import ConfigurationError, RicciDiskError
 from .flow import FlowSchedule, Termination, run
 from .grid import GridSpec, build_grid
 from .initial_data import CapParams, PerturbationParams, perturbed_cap
-from . import verify as V
+
+# ``verify``, and with it ``json``, is imported inside the commands that run
+# checks, so ``riccidisk run`` does not load it
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -140,7 +142,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 
 
 def _run_check(name, initial, traj, tau):
-    return V.CHECKS[name][1](initial, traj, tau)
+    from .verify import CHECKS
+
+    return CHECKS[name][1](initial, traj, tau)
 
 
 def _require_checks(checks, known, unknown_message):
@@ -153,11 +157,13 @@ def _require_checks(checks, known, unknown_message):
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
-    _require_checks(cfg.checks, V.CHECKS, "unknown checks")
+    from .verify import CHECKS
+
+    _require_checks(cfg.checks, CHECKS, "unknown checks")
 
     initial = _initial_metric(cfg)
     traj = None
-    if any(V.CHECKS[c][0] for c in cfg.checks):
+    if any(CHECKS[c][0] for c in cfg.checks):
         traj = run(initial, cfg.schedule, cfg.w_horizon)
         if traj.termination is not Termination.COMPLETED:
             print(f"flow terminated early: {traj.termination.value}", file=sys.stderr)
@@ -177,10 +183,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
-    _require_checks(cfg.checks, V.STUDIES, "no convergence study named")
+    from .verify import STUDIES, convergence_study
+
+    _require_checks(cfg.checks, STUDIES, "no convergence study named")
     lines = ["name,h,dt,err,observed_order"]
     for name in cfg.checks:
-        rep = V.convergence_study(name, cfg.grid)
+        rep = convergence_study(name, cfg.grid)
         order = _fmt(rep.observed_order)
         lines += [f"{name},{_fmt(h)},{_fmt(dt)},{_fmt(err)},{order}" for h, dt, err in rep.levels]
     _write_lines(cfg.trajectory_csv, lines)

@@ -1,7 +1,11 @@
 """Time integration of the conformal Ricci flow d_t u = -R on the disk.
 
-The curvature Neumann condition R_nu = 0 is imposed through the ghost ring
-of u before every right-hand-side evaluation; second-order
+The curvature Neumann condition R_nu = 0 gives d_t (d_r u) = -d_r R = 0
+at r = 1: u's boundary flux keeps its initial value, which is the
+paper's kappa law d_t kappa = (R/2) kappa.  A run closes its t = 0 state
+once with the curvature-Neumann ghost ring and then freezes the offset
+u_ghost - u[-1], so every stage is closed by the ghost Y[-1] + offset and
+the flow operator is lap0 with a fixed Neumann datum.  Second-order
 Runge-Kutta-Legendre super-steps advance the interior values, each
 covering several steps at the forward-Euler bound of the discrete
 operator.  Positivity of R is a standing hypothesis and is monitored
@@ -25,11 +29,11 @@ class Termination(Enum):
     """How a run ended; every cause but ``COMPLETED`` keeps the records so far.
 
     ``POSITIVITY_LOST``: the super-step ended with min R <= 0 or NaN
-    (``PositivityError``), or its closure ghost or a stage was not finite
-    (``BoundaryClosureError``, ``DomainError``); either way the curvature
-    is no longer a positive finite field.  ``STEP_LIMIT``: ``MAX_STEPS``
-    super-steps were accepted, or the next one is too short to move t
-    (t + dt == t).
+    (``PositivityError``), or a stage was not finite (``DomainError``;
+    ``BoundaryClosureError``, a non-finite closure ghost, counts alike);
+    either way the curvature is no longer a positive finite field.
+    ``STEP_LIMIT``: ``MAX_STEPS`` super-steps were accepted, or the next
+    one is too short to move t (t + dt == t).
     """
 
     COMPLETED = "completed"
@@ -99,6 +103,10 @@ def enforce_curvature_neumann(u, grid) -> ConformalMetric:
     closure evaluates R on the way, with the flux-Laplacian body that
     ``scalar_curvature`` uses, so the metric arrives with its R,
     bit-identical to what that function would return.
+
+    It closes initial data and, in :func:`run`, the t = 0 state, whose
+    offset u_ghost - u[-1] every later state keeps (:func:`step`); the
+    stages of the flow do not call it.
     """
     ghost, R = _kernels.curvature_neumann_ghost(u, *grid.stencil)
     if not np.isfinite(ghost).all():
@@ -127,9 +135,10 @@ def cfl_dt(m: ConformalMetric, safety: float) -> float:
 
     without the angular term in 1-D.  Forward Euler is stable for
     dt e^(-u) rho <= 2, and an RKL2 super-step of s stages for up to
-    (s^2 + s - 2) / 4 times this dt.  The last ring's row, with the ghost
-    the curvature closure solves for, is not a Gershgorin row of this
-    form; the stability test in ``tests/test_flow.py`` runs 2,000 steps'
+    (s^2 + s - 2) / 4 times this dt.  The last ring's row, with the
+    ghost Y[-1] + offset of :func:`step`, is a Neumann row plus a constant:
+    its radial diagonal is r_in / (r dr^2) < 2 / dr^2, inside the same
+    disc.  The stability test in ``tests/test_flow.py`` runs 2,000 steps'
     worth of this bound in 8-stage super-steps in 1-D and 2-D.
 
     min(e^u) is taken as e^(min u), which is the same double while numpy's
@@ -179,11 +188,11 @@ def _rkl2_coefficients(stages: int):
 
 
 def step(s: FlowState, dt: float, stages: int) -> FlowState:
-    """One RKL2 super-step of ``stages`` stages, the boundary closed at each.
+    """One RKL2 super-step of ``stages`` stages, u's boundary flux frozen.
 
     The second-order Runge-Kutta-Legendre method (Meyer, Balsara & Aslam,
-    J. Comput. Phys. 257 (2014) 594-626), with L(u) = -R of the closed
-    metric of u, Y_0 = u0 and the coefficients of
+    J. Comput. Phys. 257 (2014) 594-626), with L(Y) = -R of Y closed by
+    the ghost ring Y[-1] + offset, Y_0 = u0 and the coefficients of
     :func:`_rkl2_coefficients`:
 
         Y_1 = Y_0 + mu~_1 dt L(Y_0)
@@ -195,34 +204,49 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
     stable for up to (s^2 + s - 2) / 4 steps at the forward-Euler bound of
     :func:`cfl_dt`; two stages cover one such step.
 
-    Precondition: ``s.metric`` carries the curvature-Neumann ghost, as every
-    state that :func:`run`, :func:`step` and the initial-data module build
-    does.  L(Y_0) is then ``-s.metric.R``, so the curvature that accepted
-    the previous super-step (and that its record read) is reused, not
-    recomputed.  Every stage metric arrives from the closure with its R,
-    so a super-step costs ``stages`` closures and as many ``rhs`` calls;
-    the last one's R serves the positivity test, the next super-step and
-    the record.  Each stage is summed into a fresh array, which becomes its
-    metric's u, term by term in the order of the formula above.
+    The offset is ``u_ghost - u[-1]`` of ``s.metric``.  R_nu = 0 gives
+    d_t (d_r u) = -d_r R = 0 at r = 1, so u's boundary flux keeps the
+    value that :func:`run` set at t = 0 with
+    :func:`enforce_curvature_neumann`.  The flow operator is then lap0
+    with a fixed Neumann datum: the discrete int R dv = -sum lap0(u) w_vol
+    is that boundary flux, so it stays constant, and d_t Rbar = Rbar^2
+    holds exactly in space.
+
+    L(Y_0) is ``-s.metric.R``, so the curvature that accepted the previous
+    super-step (and that its record read) is reused, not recomputed.  Each
+    stage is tested finite (``DomainError``) and summed into a fresh array,
+    term by term in the order of the formula above; R of Y_1 .. Y_{s-1}
+    comes from ``_kernels.curvature`` on plain arrays.  Only Y_s becomes a
+    metric, its R cached from the same kernel, bit-identical to
+    ``scalar_curvature`` of it.  A super-step thus costs one ``rhs`` call,
+    ``stages`` curvature passes and one metric; the last R serves the
+    positivity test, the next super-step and the record.
     """
     if dt == 0.0:
         return s
     m0 = s.metric
     u0, grid = m0.u, m0.grid
+    offset = m0.u_ghost - u0[-1]
+    stencil = grid.stencil
     l0 = rhs(m0)
     mu1, rows = _rkl2_coefficients(stages)
     y = l0 * (mu1 * dt)
     y += u0
-    prev, m = m0, enforce_curvature_neumann(y, grid)
+    prev, cur = u0, y
     for mu, nu, c, mu_t, gamma_t in rows:
-        y = mu * m.u
-        y += nu * prev.u
+        if not np.isfinite(cur).all():
+            raise DomainError(f"a stage of the step to t = {s.t + dt:.6g} is not finite")
+        k = _kernels.curvature(cur, cur[-1] + offset, *stencil)
+        k *= -(mu_t * dt)
+        y = mu * cur
+        y += nu * prev
         y += c * u0
-        k = rhs(m)
-        k *= mu_t * dt
         y += k
         y += (gamma_t * dt) * l0
-        prev, m = m, enforce_curvature_neumann(y, grid)
+        prev, cur = cur, y
+    ghost = y[-1] + offset
+    m = ConformalMetric(y, grid, ghost)
+    vars(m)["R"] = _kernels.curvature(y, ghost, *stencil)  # fills the lazy R
     r_min = float(m.R.min())
     if not r_min > 0.0:  # NaN fails too
         raise PositivityError(
@@ -238,13 +262,16 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     Records are taken at t = 0, every ``record_every`` steps at the
     forward-Euler bound, and, by the one record call after the loop, at the
     last accepted state, whether the run reached t_end or stopped early.
+    The t = 0 state is ``initial`` closed by
+    :func:`enforce_curvature_neumann`; its offset u_ghost - u[-1] fixes u's
+    boundary flux for the whole run (see :func:`step`).
+
     A run stops early, with the records it has, on the first super-step it
     cannot take or accept: after ``MAX_STEPS`` accepted super-steps or at
     one too short to move t (t + dt == t, as near a blow-up time), as
     ``Termination.STEP_LIMIT``; at one whose ``step`` raises
-    ``PositivityError`` (min R <= 0 or NaN), ``BoundaryClosureError`` (a
-    non-finite closure ghost) or ``DomainError`` (a non-finite stage), as
-    ``Termination.POSITIVITY_LOST``.
+    ``PositivityError`` (min R <= 0 or NaN), ``DomainError`` (a non-finite
+    stage) or ``BoundaryClosureError``, as ``Termination.POSITIVITY_LOST``.
 
     A record interval is covered by the fewest equal super-steps of at
     most ``MAX_STAGES`` stages: k = ceil(record_every / 17.5) super-steps
@@ -252,12 +279,14 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     :func:`cfl_dt` recomputed at every super-step, and each of the fewest
     stages that cover n.  The last super-step stops at t_end.
 
-    The stages are capped because the closure row is not a symmetric
-    Gershgorin row and RKL2's stability region narrows as s grows.  On the
-    128x1 cap of acceptance criterion 5 (record_every = 100) the final
-    boundary flux of lap R is 0.0029 at 8 stages, against SSP-RK3's
-    0.0027, and 2.2e-4 at 10, but 0.064 at 12, 0.30 at 14 (over the
-    criterion's bound, 0.156) and 6.3 at 20.
+    The stages are capped for the time accuracy of a super-step.  On the
+    128x1 hemisphere to t = 0.05 at safety 1 the time error (4/3 of the
+    difference to the run at half the bound) is 1.6e-8 at 8 stages, under
+    1e-3 h^2 = 6.1e-8, but 7.2e-8 at 12 and 2.2e-7 at 16.
+    The boundary flux of lap R does not need the cap: on the 128x1 cap of
+    acceptance criterion 5 (t_end = 0.02, record_every = 100) it ends at
+    0.0023 at 8 stages, against SSP-RK3's 0.0024, and at most 0.017 up to
+    20 stages.
 
     Each record also keeps the boundary trace of R and int kappa ds, which
     it computes anyway.  Of the states, the trajectory holds five at most:

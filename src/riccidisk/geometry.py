@@ -37,8 +37,10 @@ class ConformalMetric:
     """Immutable metric g = exp(u) g0 with a ghost ring for u at r = 1 + dr/2.
 
     The ghost ring is the metric's boundary closure: metrics emitted by the
-    initial-data and flow modules carry the curvature-Neumann ghost, while
-    ad-hoc metrics default to smooth extrapolation of u.
+    initial-data module carry the curvature-Neumann ghost, those of the
+    flow keep the offset u_ghost - u[-1] of its t = 0 state (u's frozen
+    boundary flux), while ad-hoc metrics default to smooth extrapolation
+    of u.
 
     What every diagnostic reads is evaluated on first use and kept on the
     metric: the curvature quantities R, log R, v(M), int R dv, Rbar, kappa
@@ -47,10 +49,11 @@ class ConformalMetric:
     exp(u), exp(-u) and exp(-2u); and the flat first derivatives (d_r,
     d_theta) of u (with its ghost ring) and of log R (extrapolated ghost).
     Metrics built by the curvature-Neumann closure
-    (``flow.enforce_curvature_neumann``, which the flow and initial-data
-    modules use) arrive with R already cached: the closure and
-    :func:`scalar_curvature` share one flux-Laplacian body in ``_kernels``
-    and finish its last ring alike, so the two are bit-identical.
+    (``flow.enforce_curvature_neumann``, which the initial-data module and
+    a run's t = 0 state use) and by ``flow.step`` arrive with R already
+    cached: the closure, the step and :func:`scalar_curvature` share one
+    flux-Laplacian body in ``_kernels`` and finish its last ring alike, so
+    the cached R is bit-identical to what :func:`scalar_curvature` returns.
     The factors and derivatives are read-only.  The arrays u and u_ghost
     must not be modified in place once the metric exists.
     """

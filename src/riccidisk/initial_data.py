@@ -6,13 +6,15 @@ spherical cap pulled back to the unit disk:
     R = 2c,   kappa = (1 - c)/2,   v(M) = 4 pi / (1 + c).
 
 c = 1 is the hemisphere (geodesic boundary), c < 1 has convex boundary.
-Perturbations add eps * r^m (1 - r^2)^4 cos(m theta); the profile vanishes
-to fourth order at r = 1, which makes the perturbed metric satisfy
-d_r R(1) = 0 exactly in the continuum (both the conformal factor and the
-flat Laplacian of the perturbation, together with their radial derivatives,
-vanish on the boundary).  The discrete projection then only has to remove
-an O(h^2) truncation residual, so the correction shrinks under refinement
-instead of forcing a mesh-width boundary layer into R.
+Perturbations add eps * r^m (1 - r^2)^8 cos(m theta); the profile vanishes
+to eighth order at r = 1.  Near the boundary R - 2c ~ (1 - r^2)^6, so
+lap^j R ~ (1 - r^2)^(6 - 2j), and R_nu, (lap R)_nu and (lap^2 R)_nu vanish
+at r = 1 in the continuum: the data satisfy the curvature Neumann
+condition and the compatibility conditions that the flow then keeps, such
+as (lap R)_nu = 0 for t > 0, which ``verify.check_normal_lemmas`` tests.
+The discrete projection then only has to remove an O(h^2) truncation
+residual, so the correction shrinks under refinement instead of forcing a
+mesh-width boundary layer into R.
 """
 
 from dataclasses import dataclass
@@ -81,7 +83,7 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
 
     def build(eps):
         r = grid.r[:, None]
-        u = cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 4 * np.cos(
+        u = cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 8 * np.cos(
             p.mode * grid.theta
         )[None, :]
         m, _ = project_compatibility(make_metric(u, grid))

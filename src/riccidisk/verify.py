@@ -325,9 +325,10 @@ def check_normal_lemmas(traj) -> IdentityReport:
     (b) |d_r (lap R)| at r = 1 on the latest state, which converges to 0
         at first order (one-sided third-derivative estimate).
 
-    On c = 0.5 caps of modes 2 and 3 flowed to t = 2e-3, (b) fails at
-    64x32 and passes at 32x16 and at 128x64 (ROADMAP item C);
-    ``perfbench/workloads.KNOWN_FAILURES`` lists it for the 64x32 workload.
+    (b) needs initial data with (lap R)_nu = 0: on perturbations of
+    profile (1 - r^2)^4 it failed on the 64x32 caps of modes 2 and 3
+    flowed to t = 2e-3, and on the (1 - r^2)^8 profile of
+    ``initial_data.perturbed_cap`` it passes on them (ROADMAP item C).
     """
     k, h1, h2 = _probe(traj)
     nu = [np.exp(-0.5 * traj.states[i].metric.u_b) for i in (k - 1, k, k + 1)]
