@@ -18,7 +18,7 @@ class DomainError(RicciDiskError):
 
 
 class CompatibilityError(RicciDiskError):
-    """The Neumann solvability or boundary compatibility condition is violated."""
+    """The Neumann Poisson data violate solvability: int rho dv_g is not 0."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

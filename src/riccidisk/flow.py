@@ -29,8 +29,7 @@ class Termination(Enum):
     """How a run ended; every cause but ``COMPLETED`` keeps the records so far.
 
     ``POSITIVITY_LOST``: the super-step ended with min R <= 0 or NaN
-    (``PositivityError``), or a stage was not finite (``DomainError``;
-    ``BoundaryClosureError``, a non-finite closure ghost, counts alike);
+    (``PositivityError``), or a stage was not finite (``DomainError``);
     either way the curvature is no longer a positive finite field.
     ``STEP_LIMIT``: ``MAX_STEPS`` super-steps were accepted, or the next
     one is too short to move t (t + dt == t).
@@ -270,8 +269,8 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
     cannot take or accept: after ``MAX_STEPS`` accepted super-steps or at
     one too short to move t (t + dt == t, as near a blow-up time), as
     ``Termination.STEP_LIMIT``; at one whose ``step`` raises
-    ``PositivityError`` (min R <= 0 or NaN), ``DomainError`` (a non-finite
-    stage) or ``BoundaryClosureError``, as ``Termination.POSITIVITY_LOST``.
+    ``PositivityError`` (min R <= 0 or NaN) or ``DomainError`` (a
+    non-finite stage), as ``Termination.POSITIVITY_LOST``.
 
     A record interval is covered by the fewest equal super-steps of at
     most ``MAX_STAGES`` stages: k = ceil(record_every / 17.5) super-steps
@@ -342,7 +341,7 @@ def run(initial: ConformalMetric, sched: FlowSchedule, w_horizon: float) -> Flow
             break
         try:
             state = step(state, dt, s)
-        except (PositivityError, BoundaryClosureError, DomainError):
+        except (PositivityError, DomainError):
             traj.termination = Termination.POSITIVITY_LOST
             break
         steps += 1

@@ -378,8 +378,9 @@ def check_second_derivative_N(traj) -> IdentityReport:
 def negctrl_incompatible_bc(grid: PolarGrid) -> IdentityReport:
     """Integration-by-parts check on a metric violating d_r R(1) = 0.
 
-    The unprojected radial term makes the boundary flux of R order one, so
-    the two forms of dN/dt disagree; the control passes iff the check fails.
+    The radial term 1.5 (1 - r^2), with an extrapolated rather than closed
+    ghost ring, makes the boundary flux of R order one, so the two forms of
+    dN/dt disagree; the control passes iff the check fails.
     """
     r = grid.r[:, None]
     u = cap_u(0.5, r) + 1.5 * (1.0 - r * r)
