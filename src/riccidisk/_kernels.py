@@ -7,12 +7,12 @@ the ghost, and returns that ring's inward flux and angular terms.
 given ghost; every RKL2 stage calls :func:`curvature` with the ghost of
 the frozen boundary flux, one flux-Laplacian pass.  The ghost closure
 :func:`curvature_neumann_ghost` first solves the last ring for the ghost
-that closes R_nu = 0; it closes initial data and the t = 0 state of a
-run.  The stencil coefficients come precomputed as full planes (the
-columns of :func:`flux_stencil`, copied once per grid), so no operation
-broadcasts a column, and periodic neighbours in theta come from
-:func:`roll_theta` (two slice copies; ``np.roll`` spends microseconds of
-Python per call).
+that closes R_nu = 0; ``geometry.enforce_curvature_neumann`` calls it to
+close initial data and the t = 0 state of a run.  The stencil
+coefficients come precomputed as full planes (the columns of
+:func:`flux_stencil`, copied once per grid), so no operation broadcasts
+a column, and periodic neighbours in theta come from :func:`roll_theta`
+(two slice copies; ``np.roll`` spends microseconds of Python per call).
 
 :func:`kahan_sum` is the exactly rounded sum, for the one reduction whose
 last bits are read: the Poisson compatibility total, a reported

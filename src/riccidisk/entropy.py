@@ -25,7 +25,6 @@ check: a metric with min R <= 0 (or NaN) raises ``DomainError`` from every
 functional that takes log R.
 """
 
-import sys
 from dataclasses import dataclass, fields
 from math import isfinite, log, pi, sqrt
 
@@ -48,8 +47,6 @@ from .grid import (
     integrate_boundary,
     integrate_volume,
 )
-
-_SQRT_DBL_MAX = sqrt(sys.float_info.max)
 
 
 @dataclass
@@ -156,20 +153,23 @@ def dW_dt_rhs(m: ConformalMetric, tau: float) -> float:
     """Right-hand side of the Guo-type monotonicity formula.
 
     2 tau int R |R g/2 + Hess log R - g/(2 tau)|^2 dv
-    + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds.
+    + 2 tau int kappa (R |grad_{dM} (log R)|_dM|^2 + 1/tau^2) ds,
+
+    infinite, without a numpy warning, where it overflows (as
+    :func:`w_functional`).  1/tau^2 is formed as 1/tau/tau: tau^2 would
+    overflow (a Python float raises) past the square root of the largest
+    double and underflow to 0 below that of the smallest.
     """
     tau = _tau(tau)
-    norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau, m.dlog_R)
-    norm_sq *= m.R
-    interior = 2.0 * tau * integrate_volume(norm_sq, m)
-    R_b = boundary_value(m.R)
-    log_R_b = boundary_value(m.log_R)
-    grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)
-    # tau^2 overflows (a Python float raises) past the square root of the
-    # largest double, where 1 / tau^2 is subnormal
-    inv_tau_sq = 1.0 / tau**2 if tau < _SQRT_DBL_MAX else 1.0 / tau / tau
-    bnd = 2.0 * tau * integrate_boundary(m.kappa * (R_b * grad_b_sq + inv_tau_sq), m)
-    return interior + bnd
+    with np.errstate(over="ignore"):
+        norm_sq = shifted_hessian_norm_sq(m.log_R, m, 0.5 * m.R - 0.5 / tau, m.dlog_R)
+        norm_sq *= m.R
+        interior = 2.0 * tau * integrate_volume(norm_sq, m)
+        R_b = boundary_value(m.R)
+        log_R_b = boundary_value(m.log_R)
+        grad_b_sq = boundary_gradient_inner(log_R_b, log_R_b, m)
+        bnd = 2.0 * tau * integrate_boundary(m.kappa * (R_b * grad_b_sq + 1.0 / tau / tau), m)
+        return interior + bnd
 
 
 def dN_dt(m: ConformalMetric) -> float:

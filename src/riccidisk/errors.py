@@ -29,10 +29,6 @@ class SolverError(RicciDiskError):
     """The linear solver failed to reach the requested tolerance."""
 
 
-class BoundaryClosureError(RicciDiskError):
-    """The curvature-Neumann ghost closure could not be computed."""
-
-
 class PositivityError(RicciDiskError):
     """Scalar curvature positivity was lost or absent."""
 

@@ -3,7 +3,8 @@
 The curvature Neumann condition R_nu = 0 gives d_t (d_r u) = -d_r R = 0
 at r = 1: u's boundary flux keeps its initial value, which is the
 paper's kappa law d_t kappa = (R/2) kappa.  A run closes its t = 0 state
-once with the curvature-Neumann ghost ring and then freezes the offset
+once with the curvature-Neumann ghost ring
+(``geometry.enforce_curvature_neumann``) and then freezes the offset
 u_ghost - u[-1], so every stage is closed by the ghost Y[-1] + offset and
 the flow operator is lap0 with a fixed Neumann datum.  Second-order
 Runge-Kutta-Legendre super-steps advance the interior values, each
@@ -20,8 +21,8 @@ from functools import cache
 import numpy as np
 
 from . import _kernels, entropy
-from .errors import BoundaryClosureError, DomainError, PositivityError, UsageError
-from .geometry import ConformalMetric
+from .errors import DomainError, PositivityError, UsageError
+from .geometry import ConformalMetric, enforce_curvature_neumann
 from .grid import boundary_value
 
 
@@ -92,27 +93,6 @@ class FlowTrajectory:
     def snapshots(self) -> list:
         """The held states, each once, in time order."""
         return [self.states[i] for i in sorted(self.states)]
-
-
-def enforce_curvature_neumann(u, grid) -> ConformalMetric:
-    """The metric exp(u) g0 with its ghost ring set so that d_r R(1) = 0.
-
-    Only the outermost ring of R depends on the ghost, and linearly, so the
-    closure is a direct solve per boundary node; u is taken as it is.  The
-    closure evaluates R on the way, with the flux-Laplacian body that
-    ``scalar_curvature`` uses, so the metric arrives with its R,
-    bit-identical to what that function would return.
-
-    It closes initial data and, in :func:`run`, the t = 0 state, whose
-    offset u_ghost - u[-1] every later state keeps (:func:`step`); the
-    stages of the flow do not call it.
-    """
-    ghost, R = _kernels.curvature_neumann_ghost(u, *grid.stencil)
-    if not np.isfinite(ghost).all():
-        raise BoundaryClosureError("curvature ghost closure produced non-finite values")
-    m = ConformalMetric(u, grid, ghost)
-    vars(m)["R"] = R  # fills the cache of the lazy ConformalMetric.R
-    return m
 
 
 def rhs(m: ConformalMetric):
@@ -221,8 +201,6 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
     ``stages`` curvature passes and one metric; the last R serves the
     positivity test, the next super-step and the record.
     """
-    if dt == 0.0:
-        return s
     m0 = s.metric
     u0, grid = m0.u, m0.grid
     offset = m0.u_ghost - u0[-1]

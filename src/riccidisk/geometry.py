@@ -49,7 +49,7 @@ class ConformalMetric:
     exp(u), exp(-u) and exp(-2u); and the flat first derivatives (d_r,
     d_theta) of u (with its ghost ring) and of log R (extrapolated ghost).
     Metrics built by the curvature-Neumann closure
-    (``flow.enforce_curvature_neumann``, which the initial-data module and
+    (:func:`enforce_curvature_neumann`, which the initial-data module and
     a run's t = 0 state use) and by ``flow.step`` arrive with R already
     cached: the closure, the step and :func:`scalar_curvature` share one
     flux-Laplacian body in ``_kernels`` and finish its last ring alike, so
@@ -146,6 +146,27 @@ def make_metric(u, grid, ghost=None) -> ConformalMetric:
 def scalar_curvature(m: ConformalMetric):
     """R = -exp(-u) lap0(u), using the metric's ghost closure."""
     return _kernels.curvature(m.u, m.u_ghost, *m.grid.stencil)
+
+
+def enforce_curvature_neumann(u, grid) -> ConformalMetric:
+    """The metric exp(u) g0 with its ghost ring set so that d_r R(1) = 0.
+
+    Only the outermost ring of R depends on the ghost, and linearly, so the
+    closure is a direct solve per boundary node; u is taken as it is.  The
+    closure evaluates R on the way, with the flux-Laplacian body that
+    :func:`scalar_curvature` uses, so the metric arrives with its R,
+    bit-identical to what that function would return.  A non-finite ghost
+    raises ``DomainError``.
+
+    It closes initial data and a run's t = 0 state; the stages of the flow
+    keep that state's offset u_ghost - u[-1] and do not call it.
+    """
+    ghost, R = _kernels.curvature_neumann_ghost(u, *grid.stencil)
+    if not np.isfinite(ghost).all():
+        raise DomainError("curvature ghost closure produced non-finite values")
+    m = ConformalMetric(u, grid, ghost)
+    vars(m)["R"] = R  # fills the cache of the lazy ConformalMetric.R
+    return m
 
 
 def geodesic_curvature(m: ConformalMetric):

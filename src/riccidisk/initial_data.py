@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmplitudeError, PositivityError, UsageError
-from .flow import enforce_curvature_neumann
-from .geometry import ConformalMetric
+from .errors import AmplitudeError, DomainError, PositivityError, UsageError
+from .geometry import ConformalMetric, enforce_curvature_neumann
 from .grid import PolarGrid, radial_derivative_at_boundary
 
 
@@ -74,48 +73,54 @@ def spherical_cap(p: CapParams, grid: PolarGrid, normalize_volume=False) -> Conf
 def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> ConformalMetric:
     """Cap plus the angular perturbation eps r^m (1 - r^2)^8 cos(m theta).
 
-    The data are closed by :func:`flow.enforce_curvature_neumann` only; the
-    profile makes them compatible (see the module docstring).  At
+    The data are closed by :func:`geometry.enforce_curvature_neumann`
+    only; the profile makes them compatible (see the module docstring).  At
     epsilon = 0 the result is :func:`spherical_cap`'s, bit for bit.
 
     Raises AmplitudeError (with the bisected maximal admissible amplitude)
     when the requested epsilon destroys curvature positivity, and
-    PositivityError when the unperturbed cap has none on the grid.
+    PositivityError when the unperturbed cap has none on the grid; data
+    whose u or ghost ring overflows count as having no positive curvature.
     """
     if p.mode > grid.n_theta // 2:
         raise UsageError(f"angular mode {p.mode} is above n_theta // 2 = {grid.n_theta // 2}")
 
     def build(eps):
         r = grid.r[:, None]
-        u = cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 8 * np.cos(
-            p.mode * grid.theta
-        )[None, :]
-        return enforce_curvature_neumann(u, grid)
+        with np.errstate(all="ignore"):  # an overflow ends as a non-finite u or ghost
+            u = cap_u(base.c, grid.r)[:, None] + eps * r**p.mode * (1.0 - r * r) ** 8 * np.cos(
+                p.mode * grid.theta
+            )[None, :]
+            try:
+                m = enforce_curvature_neumann(u, grid)
+            except DomainError:
+                return None, float("nan")
+        return m, float(m.R.min())
 
-    m = build(p.epsilon)
-    if float(m.R.min()) > 0.0:
+    m, r_min = build(p.epsilon)
+    if r_min > 0.0:
         return m
-    cap = m if p.epsilon == 0.0 else build(0.0)
-    cap_min_r = float(cap.R.min())
+    cap_min_r = r_min if p.epsilon == 0.0 else build(0.0)[1]
     if not cap_min_r > 0.0:  # NaN fails too
         raise PositivityError(
             f"cap c = {base.c} has no positive curvature on this grid: min R = {cap_min_r:.3e}",
             min_r=cap_min_r,
         )
 
-    # bisect for the largest admissible amplitude to report in the error
-    lo, hi = 0.0, abs(p.epsilon)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        trial = build(mid if p.epsilon >= 0 else -mid)
-        if float(trial.R.min()) > 0.0:
+    # bisect the bit patterns of the doubles in [0, |epsilon|], which are
+    # ordered as the doubles: two adjacent doubles within 64 steps
+    lo, hi = 0, int(np.float64(abs(p.epsilon)).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if build(np.copysign(np.int64(mid).view(np.float64), p.epsilon))[1] > 0.0:
             lo = mid
         else:
             hi = mid
+    bound = float(np.int64(lo).view(np.float64))
     raise AmplitudeError(
         f"epsilon = {p.epsilon} destroys curvature positivity; "
-        f"max admissible |epsilon| is about {lo:.4g}",
-        max_epsilon=lo,
+        f"max admissible |epsilon| is about {bound:.4g}",
+        max_epsilon=bound,
     )
 
 

@@ -204,20 +204,20 @@ def check_reilly(m: ConformalMetric, f) -> IdentityReport:
     return _report("reilly", lhs, rhs, m.grid, 0.0, scale_hint=hint)
 
 
+_CUBIC_VALUE = np.array([105.0, -189.0, 135.0, -35.0]) / 16.0
+_CUBIC_DR_D_R = np.array([143.0 / 24.0, -111.0 / 8.0, 87.0 / 8.0, -71.0 / 24.0])
+
+
 def _extract_cubic(field, grid, deriv):
     """Boundary value (deriv=0) or d_r (deriv=1) at r = 1, ghost-free.
 
-    Cubic fit through the rings n-2 .. n-5; skipping the outermost ring
-    avoids the ghost-closure error spike there, and the extra polynomial
-    order buys back the accuracy the wider offsets would otherwise cost.
+    Cubic fit through the rings n-2 .. n-5, (k + 1.5) dr inside r = 1
+    (k = 0 .. 3), as fixed weights; skipping the outermost ring avoids the
+    ghost-closure error spike there, and the extra polynomial order buys
+    back the accuracy the wider offsets would otherwise cost.
     """
-    npts = 4
-    offs = (np.arange(npts) + 1.5) * grid.dr
-    rows = np.stack([field[-2 - k] for k in range(npts)])
-    vand = np.vander(offs, npts, increasing=True)
-    coef = np.linalg.solve(vand, rows)
-    # coordinates run inward: d_r = -d/ds at s = 0
-    return coef[0] if deriv == 0 else -coef[1]
+    weights = _CUBIC_VALUE if deriv == 0 else _CUBIC_DR_D_R / grid.dr
+    return weights @ field[-2:-6:-1]
 
 
 def check_lemma_useful(m: ConformalMetric, f) -> IdentityReport:

@@ -233,9 +233,10 @@ def test_cmd_run_excessive_amplitude(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("eps", [1e6, 1e308])
+@pytest.mark.parametrize("eps", [1e6, 1e20, -1e20, 1e300, 1e308])
 def test_cmd_run_overflowing_amplitude(tmp_path, capsys, eps):
+    # an amplitude whose data overflow is inadmissible like any other, and
+    # the bisection reports the bound of a moderate one (5 gives 1.103)
     cfg = _write_config(
         tmp_path / "c.cfg",
         **{"grid.n_r": 32, "grid.n_theta": 16, "initial.cap_c": 0.5,
@@ -243,7 +244,7 @@ def test_cmd_run_overflowing_amplitude(tmp_path, capsys, eps):
     )
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert "max admissible |epsilon| is about 1.103" in err and "Traceback" not in err
 
 
 def test_hemisphere_runs_to_its_blow_up_time(tmp_path):
@@ -292,6 +293,22 @@ def test_horizon_near_the_largest_double_is_refused(tmp_path, capsys, command, c
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "is not finite" in errors[0] and "Traceback" not in err
     assert not (tmp_path / "traj.csv").exists() and not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_tiny_horizon_is_refused(tmp_path, capsys, command):
+    # tau^2 underflows to 0 at this horizon; 1 / tau / tau is infinite, and
+    # so is dW/dt, which no record may hold
+    cfg = _write_config(
+        tmp_path / "c.cfg",
+        **{"grid.n_r": 16, "grid.n_theta": 8, "initial.cap_c": 0.5, "initial.eps": 0.02,
+           "initial.mode": 2, "schedule.t_end": 1e-170, "w.horizon": 2e-170},
+    )
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "dW_dt_rhs = inf is not finite" in errors[0]
+    assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import riccidisk
 from riccidisk.errors import AmplitudeError, PositivityError, UsageError
 from riccidisk.geometry import scalar_curvature
 from riccidisk.grid import GridSpec, build_grid, radial_derivative_at_boundary_interior
@@ -84,6 +90,13 @@ def test_excessive_amplitude_reports_admissible_range(grid_2d):
     assert 0.0 < exc.value.max_epsilon < 30.0
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.02])
+def test_cap_whose_closure_overflows_has_no_positive_curvature(eps):
+    g = build_grid(GridSpec(32, 16))
+    with pytest.raises(PositivityError, match="cap c = 1e[+]200"):
+        perturbed_cap(CapParams(1e200), PerturbationParams(eps, 2), g)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 def test_cap_without_positive_curvature_is_not_blamed_on_epsilon(grid_2d, eps):
     # 2 c r^2 is below the rounding of log 4, so the discrete R of the
@@ -106,3 +119,21 @@ def test_zero_perturbation_recovers_cap(grid_1d, grid_2d):
         assert np.array_equal(m.u, cap.u)
         assert np.array_equal(m.u_ghost, cap.u_ghost)
         assert np.array_equal(m.R, cap.R)
+
+
+def test_import_loads_no_integrator_entropy_or_solver():
+    # the data need the geometry and its closure only; a fresh interpreter
+    # shows what the import itself loads
+    code = (
+        "import sys\n"
+        "import riccidisk.initial_data\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('riccidisk.')))\n"
+    )
+    src = str(Path(riccidisk.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(out.stdout.split())
+    assert "riccidisk.initial_data" in loaded
+    assert not loaded & {"riccidisk.flow", "riccidisk.entropy", "riccidisk.elliptic", "riccidisk._cg"}

@@ -28,6 +28,7 @@ from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap,
 from riccidisk.verify import (
     C2,
     _dN_dt_by_parts,
+    _extract_cubic,
     _fd1,
     _fd2,
     _report,
@@ -98,6 +99,23 @@ def test_reilly_differentiates_f_once(grid_2d, monkeypatch):
     f = manufactured_fields(grid_2d)["mode2"]
     assert check_reilly(m, f).passed
     assert len(calls) == 1 and calls[0] is f
+
+
+def _ref_extract_cubic(field, grid, deriv):
+    # the cubic through the rings n-2 .. n-5 by a Vandermonde solve; its
+    # offsets from r = 1 run inward, so d_r = -d/ds at s = 0
+    offs = (np.arange(4) + 1.5) * grid.dr
+    rows = np.stack([field[-2 - k] for k in range(4)])
+    coef = np.linalg.solve(np.vander(offs, 4, increasing=True), rows)
+    return coef[0] if deriv == 0 else -coef[1]
+
+
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_extract_cubic_matches_the_vandermonde_solve(grid_2d, deriv):
+    field = np.random.default_rng(7).standard_normal((grid_2d.n_r, grid_2d.n_theta))
+    got = _extract_cubic(field, grid_2d, deriv)
+    want = _ref_extract_cubic(field, grid_2d, deriv)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_lemma_time2_on_compatible_metric(grid_2d):
