@@ -1,5 +1,7 @@
 """Configuration-driven command line runner.
 
+usage: riccidisk {run,verify,convergence} <config>
+
 Commands:
 
     riccidisk run <config>           integrate a flow, write the trajectory CSV
@@ -8,12 +10,11 @@ Commands:
 
 Configs are flat ``key = value`` lines with a fixed key set; unknown and
 duplicate keys are reported with their line numbers, missing keys by
-name.  Exit codes: 0 success,
+name.  ``-h`` or ``--help`` prints this text.  Exit codes: 0 success,
 1 configuration or usage error (an output that cannot be written
 included), 2 flow terminated early, 3 verification failure.
 """
 
-import argparse
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_EARLY = 2
 EXIT_VERIFY = 3
+
+# the usage line of the module docstring, printed before a command-line error
+USAGE = "usage: riccidisk {run,verify,convergence} <config>"
 
 CSV_COLUMNS = tuple(f.name for f in fields(EntropyRecord))
 
@@ -196,22 +200,19 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="riccidisk",
-        description="Ricci flow on the disk with curvature Neumann boundary data",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "verify", "convergence"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to a key = value config file")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, and 2 is EXIT_EARLY
-        raise SystemExit(EXIT_CONFIG if exc.code else EXIT_OK) from None
+    args = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in args or "--help" in args:
+        print(__doc__ or USAGE + "\n", end="")  # python -OO strips the docstring
+        raise SystemExit(EXIT_OK)
     handler = {"run": cmd_run, "verify": cmd_verify, "convergence": cmd_convergence}
+    if len(args) != 2 or args[0] not in handler:
+        print(USAGE, file=sys.stderr)
+        print(f"error: expected a command ({', '.join(handler)}) and one config path, "
+              f"got {' '.join(args) or 'nothing'}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
     # the one place a typed package error becomes a message and exit 1
     try:
-        return handler[args.command](parse_config(args.config))
+        return handler[args[0]](parse_config(args[1]))
     except RicciDiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

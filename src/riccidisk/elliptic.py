@@ -17,7 +17,8 @@ is an exact preconditioner: CG converges in one or two iterations, and the
 solution is accepted on its verified normwise backward error.  The two
 Thomas recurrences of those solves run over the rings as log-step scans
 (``_operator``), a few whole-plane multiply-adds instead of a Python loop
-over the rings.
+over the rings.  On one angle the DFT in theta is the identity, so the
+preconditioner skips it and a 1-D run never imports ``numpy.fft``.
 """
 
 from dataclasses import dataclass
@@ -121,14 +122,19 @@ def _operator(n_r: int, n_theta: int):
     backward = _scan_factors(c[:, None] * inv_pivot[:-1])
 
     def solve(r):
-        y = np.fft.rfft(r.reshape(n_r, n_theta), axis=1)
+        # on one angle the DFT in theta is the identity: the scans run on the
+        # real column, and give the real parts of the complex ones exactly
+        if n_theta == 1:
+            y = r.reshape(n_r, 1).copy()
+        else:
+            y = np.fft.rfft(r.reshape(n_r, n_theta), axis=1)
         y[-1, 0] = 0.0
         for k, f in enumerate(forward):
             y[1 << k:] += f * y[:-(1 << k)]
         y *= inv_pivot
         for k, g in enumerate(backward):
             y[:-(1 << k)] += g * y[1 << k:]
-        z = np.fft.irfft(y, n=n_theta, axis=1).ravel()
+        z = y.ravel() if n_theta == 1 else np.fft.irfft(y, n=n_theta, axis=1).ravel()
         return z - z.mean()
 
     ring = 2.0 * a if n_theta > 1 else 0.0

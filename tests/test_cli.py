@@ -198,26 +198,43 @@ def test_cmd_run_writes_trajectory(tmp_path):
     assert np.max(np.abs(r_bar - 2.0 / (1.0 - 2.0 * t))) < 2e-3
 
 
-def test_cmd_run_imports_no_scipy(tmp_path):
-    # scipy serves the tests as an oracle only; a run must not load it
+# modules a run has no use for: scipy serves the tests as an oracle only,
+# and argparse's stack (with gettext and locale) is not needed to read two
+# arguments
+_UNUSED = "m.split('.')[0] == 'scipy' or m in ('argparse', 'gettext', 'locale', 'numpy.fft')"
+
+
+def _modules_after_run(tmp_path, n_theta):
+    """The loaded modules of _UNUSED after ``riccidisk run`` of a 16 x n_theta cap."""
     cfg = _write_config(
         tmp_path / "c.cfg",
-        **{"grid.n_r": 16, "grid.n_theta": 8, "initial.cap_c": 0.5, "initial.eps": 0.04,
-           "initial.mode": 2, "schedule.t_end": 1e-4, "schedule.record_every": 1},
+        **{"grid.n_r": 16, "grid.n_theta": n_theta, "initial.cap_c": 0.5,
+           "initial.eps": 0.04 if n_theta > 1 else 0.0, "initial.mode": 2 if n_theta > 1 else 0,
+           "schedule.t_end": 1e-4, "schedule.record_every": 1},
     )
     code = (
         "import sys\n"
         "from riccidisk.cli import main\n"
         f"assert main(['run', {str(cfg)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(sorted(m for m in sys.modules if {_UNUSED}))\n"
     )
     src = str(Path(riccidisk.cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
     assert len((tmp_path / "traj.csv").read_text().splitlines()) > 2
+    return out.stdout.strip()
+
+
+def test_cmd_run_imports_no_scipy(tmp_path):
+    # a 2-D run takes the DFT in theta of its Poisson solves, and nothing else
+    assert _modules_after_run(tmp_path, 8) == "['numpy.fft']"
+
+
+def test_one_angle_run_imports_no_fft(tmp_path):
+    # on one angle the DFT in theta is the identity, and the solve skips it
+    assert _modules_after_run(tmp_path, 1) == "[]"
 
 
 def test_cmd_run_config_error_exit(tmp_path, capsys):
@@ -512,7 +529,9 @@ def test_main_dispatch(tmp_path):
         main([])
 
 
-@pytest.mark.parametrize("argv", [[], ["bogus", "c.cfg"], ["run"]])
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus", "c.cfg"], ["run"], ["run", "a.cfg", "extra"], ["--bogus"]]
+)
 def test_malformed_command_line_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -521,10 +540,13 @@ def test_malformed_command_line_exits_1(capsys, argv):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == EXIT_OK
-    assert "usage:" in capsys.readouterr().out
+    for argv in (["--help"], ["-h"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "usage:" in out
+        assert riccidisk.cli.USAGE in out.splitlines()
 
 
 def test_cmd_run_writes_the_records_of_a_full_run(tmp_path, monkeypatch):

@@ -315,11 +315,9 @@ def test_compat_residual_is_the_exact_integral_of_the_data(grid_2d):
     assert potential_f(m).compat_residual == abs(math.fsum(terms.ravel().tolist()))
 
 
-def _reference_thomas(n_r, n_theta):
-    """The preconditioner with the Thomas recurrences as loops over the rings.
-
-    The sequential solve that the log-step scans of ``_operator`` replace.
-    """
+def _thomas_factors(n_r, n_theta):
+    """c_{i+1/2}, the multipliers and 1/pivot of the Thomas factorization of
+    every mode, formed as ``_operator`` forms them."""
     g = build_grid(GridSpec(n_r, n_theta))
     c = g.stencil[0][:-1, 0] * g.dtheta / g.dr
     a = g.dr / (g.r * g.dtheta)
@@ -336,7 +334,15 @@ def _reference_thomas(n_r, n_theta):
         pivot[i] = diag[i] + mult[i] * c[i - 1]
     mult[-1, 0] = 0.0
     pivot[-1, 0] = 1.0
-    inv_pivot = 1.0 / pivot
+    return c, mult, 1.0 / pivot
+
+
+def _reference_thomas(n_r, n_theta):
+    """The preconditioner with the Thomas recurrences as loops over the rings.
+
+    The sequential solve that the log-step scans of ``_operator`` replace.
+    """
+    c, mult, inv_pivot = _thomas_factors(n_r, n_theta)
 
     def solve(r):
         y = np.fft.rfft(r.reshape(n_r, n_theta), axis=1)
@@ -346,6 +352,30 @@ def _reference_thomas(n_r, n_theta):
         y[-1] *= inv_pivot[-1]
         for i in range(n_r - 2, -1, -1):
             y[i] = (y[i] + c[i] * y[i + 1]) * inv_pivot[i]
+        z = np.fft.irfft(y, n=n_theta, axis=1).ravel()
+        return z - z.mean()
+
+    return solve
+
+
+def _fft_scan_solve(n_r, n_theta):
+    """The scan preconditioner with the DFT in theta on every grid.
+
+    The path that ``_operator`` skips on one angle, where it runs the same
+    scans on the real column instead of its complex transform.
+    """
+    c, mult, inv_pivot = _thomas_factors(n_r, n_theta)
+    forward = elliptic._scan_factors(-mult[1:])
+    backward = elliptic._scan_factors(c[:, None] * inv_pivot[:-1])
+
+    def solve(r):
+        y = np.fft.rfft(r.reshape(n_r, n_theta), axis=1)
+        y[-1, 0] = 0.0
+        for k, f in enumerate(forward):
+            y[1 << k:] += f * y[:-(1 << k)]
+        y *= inv_pivot
+        for k, g in enumerate(backward):
+            y[:-(1 << k)] += g * y[1 << k:]
         z = np.fft.irfft(y, n=n_theta, axis=1).ravel()
         return z - z.mean()
 
@@ -366,9 +396,28 @@ def test_scan_preconditioner_matches_the_sequential_thomas_solve(n_r, n_theta):
         assert np.max(np.abs(solve(r) - z)) <= 1e-13 * np.max(np.abs(z))
 
 
+@pytest.mark.parametrize("n_r", [8, 128, 2048])
+def test_one_angle_solve_is_the_fft_path_bit_for_bit(n_r):
+    # a complex number with a zero imaginary part times a real factor is the
+    # real product exactly, so skipping the DFT changes no bit, signed zeros
+    # included
+    solve, _ = elliptic._operator(n_r, 1)
+    oracle = _fft_scan_solve(n_r, 1)
+    inputs = [np.zeros(n_r), -np.zeros(n_r), np.where(np.arange(n_r) % 2, 0.0, -0.0)]
+    for seed in range(20):
+        r = np.random.default_rng(seed).standard_normal(n_r)
+        r[::3] = 0.0
+        inputs.append(r - r.mean())
+    for r in inputs:
+        assert solve(r).tobytes() == oracle(r).tobytes()
+
+
 @pytest.mark.parametrize("n_r,n_theta", SCAN_GRIDS)
 def test_scan_pins_the_last_ring_of_mode_0_to_exactly_zero(n_r, n_theta, monkeypatch):
-    # the rings of every mode reach irfft solved, before the mean is removed
+    # the rings of every mode, solved, before the mean is removed: in 2-D as
+    # they reach irfft; in 1-D, where the solve takes no DFT, as the scans
+    # leave them in the copy of the input that they run on, whose mean is
+    # taken next
     solved = []
     irfft = np.fft.irfft
 
@@ -376,11 +425,20 @@ def test_scan_pins_the_last_ring_of_mode_0_to_exactly_zero(n_r, n_theta, monkeyp
         solved.append(y.copy())
         return irfft(y, *args, **kwargs)
 
+    class Kept(np.ndarray):
+        def mean(self, *args, **kwargs):
+            solved.append(np.asarray(self).reshape(n_r, 1).copy())
+            return np.asarray(self).mean(*args, **kwargs)
+
     solve, _ = elliptic._operator(n_r, n_theta)
     r = np.random.default_rng(7).standard_normal(n_r * n_theta)
-    monkeypatch.setattr(np.fft, "irfft", keep)
-    solve(r - r.mean())
-    monkeypatch.undo()
+    r -= r.mean()
+    if n_theta == 1:
+        solve(r.view(Kept))
+    else:
+        monkeypatch.setattr(np.fft, "irfft", keep)
+        solve(r)
+        monkeypatch.undo()
     (y,) = solved
     assert y[-1, 0] == 0.0
     assert np.all(y[:-1, 0] != 0.0)
