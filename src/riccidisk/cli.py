@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .entropy import EntropyRecord
-from .errors import ConfigurationError, RicciDiskError
+from .errors import RicciDiskError, UsageError
 from .flow import FlowSchedule, Termination, run
 from .grid import GridSpec, build_grid
 from .initial_data import CapParams, PerturbationParams, perturbed_cap
@@ -72,7 +72,7 @@ def parse_config(path: str) -> ExperimentConfig:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}")
+        raise UsageError(f"cannot read config {path}: {exc}")
 
     values = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -80,26 +80,26 @@ def parse_config(path: str) -> ExperimentConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
         if key not in KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         kind = KEYS[key]
         try:
             values[key] = kind(val)
         except ValueError:
             needs = "an integer" if kind is int else "a number"
-            raise ConfigurationError(f"{path}:{lineno}: {key} needs {needs}, got {val!r}")
+            raise UsageError(f"{path}:{lineno}: {key} needs {needs}, got {val!r}")
         if kind is float and not math.isfinite(values[key]):
-            raise ConfigurationError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
+            raise UsageError(f"{path}:{lineno}: {key} must be finite, got {val!r}")
 
     for key in sorted(KEYS):
         if key not in values:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
+            raise UsageError(f"{path}: missing required key {key!r}")
 
     return ExperimentConfig(
         grid=GridSpec(values["grid.n_r"], values["grid.n_theta"]),
@@ -128,7 +128,7 @@ def _write_lines(path, lines):
             for line in lines:
                 fh.write(line + "\n")
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc}") from None
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _initial_metric(cfg: ExperimentConfig):
@@ -154,10 +154,10 @@ def _run_check(name, initial, traj, tau):
 def _require_checks(checks, known, unknown_message):
     """Reject an empty ``verify.checks`` or one naming a check not in ``known``."""
     if not checks:
-        raise ConfigurationError("verify.checks is empty")
+        raise UsageError("verify.checks is empty")
     unknown = [c for c in checks if c not in known]
     if unknown:
-        raise ConfigurationError(f"{unknown_message}: {', '.join(unknown)}")
+        raise UsageError(f"{unknown_message}: {', '.join(unknown)}")
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:

@@ -181,20 +181,24 @@ def _solve_neumann(rho, m: ConformalMetric, scale: float) -> NeumannSolution:
     n = grid.n_r * grid.n_theta
     v_m = m.v_M
 
-    if not np.isfinite(rho).all():
-        raise DomainError("Poisson data rho is not finite")
-    b = rho * m.exp_u
-    b *= grid.w_vol
+    with np.errstate(all="ignore"):  # non-finite data or an overflow fail below
+        b = rho * m.exp_u
+        b *= grid.w_vol
     b = b.ravel()
+    if not np.isfinite(b).all():
+        raise DomainError("Poisson data rho exp(u) is not finite")
     # int rho dv_g, exactly rounded: for compatible data it is the rounding
-    # residual of a cancellation, which the solve reports and judges
-    total = kahan_sum(b)
+    # residual of a cancellation, which the solve reports and judges.  Its
+    # math.fsum path raises OverflowError when partial sums of finite terms do
+    try:
+        total = kahan_sum(b)
+    except OverflowError:
+        raise DomainError("Poisson data rho exp(u) overflows the volume quadrature") from None
     compat = abs(total)
     if not compat <= COMPAT_TOL * scale * v_m:
         raise CompatibilityError(
             f"Neumann compatibility violated: |int rho dv| = {compat:.3e} "
-            f"exceeds {COMPAT_TOL:.1e} * {scale:.3e} * v(M)",
-            residual=compat,
+            f"exceeds {COMPAT_TOL:.1e} * {scale:.3e} * v(M)"
         )
 
     A = neumann_laplacian_matrix(grid)

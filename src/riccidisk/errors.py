@@ -5,12 +5,8 @@ class RicciDiskError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(RicciDiskError):
-    """Invalid grid spec, schedule, or experiment configuration."""
-
-
 class UsageError(RicciDiskError):
-    """An operation was called with arguments outside its contract."""
+    """Invalid input: a config file, a spec, or arguments outside a contract."""
 
 
 class DomainError(RicciDiskError):
@@ -19,10 +15,6 @@ class DomainError(RicciDiskError):
 
 class CompatibilityError(RicciDiskError):
     """The Neumann Poisson data violate solvability: int rho dv_g is not 0."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class SolverError(RicciDiskError):

@@ -137,10 +137,10 @@ def _read_only(a):
     return a
 
 
-def make_metric(u, grid, ghost=None) -> ConformalMetric:
-    """Wrap a log conformal factor with its ghost ring (array, default extrapolated)."""
+def make_metric(u, grid) -> ConformalMetric:
+    """Wrap a log conformal factor with the extrapolated ghost ring."""
     u = np.asarray(u, dtype=np.float64)
-    return ConformalMetric(u, grid, _grid._resolve_ghost(u, ghost))
+    return ConformalMetric(u, grid, _grid.ghost_extrapolate(u))
 
 
 def scalar_curvature(m: ConformalMetric):
@@ -267,9 +267,9 @@ def grad_norm_sq(v_r, v_t, m: ConformalMetric):
     return out
 
 
-def laplace_beltrami(f, m: ConformalMetric, ghost=None):
-    """lap_g f = exp(-u) lap0 f."""
-    lap = _grid.laplacian0(f, m.grid, ghost)
+def laplace_beltrami(f, m: ConformalMetric):
+    """lap_g f = exp(-u) lap0 f, with the extrapolated ghost ring of f."""
+    lap = _grid.laplacian0(f, m.grid)
     lap *= m.exp_neg_u
     return lap
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import roll_theta
-from .errors import ConfigurationError
+from .errors import UsageError
 
 # quadratic extrapolation through the last three rings, evaluated at r = 1
 _BVAL_W = (1.875, -1.25, 0.375)
@@ -37,9 +37,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n_r < 8:
-            raise ConfigurationError(f"n_r must be >= 8, got {self.n_r}")
+            raise UsageError(f"n_r must be >= 8, got {self.n_r}")
         if self.n_theta != 1 and (self.n_theta < 8 or self.n_theta % 2 != 0):
-            raise ConfigurationError(
+            raise UsageError(
                 f"n_theta must be 1 or an even integer >= 8, got {self.n_theta}"
             )
 
@@ -78,7 +78,7 @@ def build_grid(spec: GridSpec) -> PolarGrid:
         )
     # ValueError: beyond numpy's size limits; OverflowError: beyond a float
     except (MemoryError, ValueError, OverflowError):
-        raise ConfigurationError(
+        raise UsageError(
             f"grid n_r x n_theta = {n_r} x {n_t} does not fit in memory "
             f"({n_r * n_t * 8:,} bytes per field)"
         ) from None
@@ -148,10 +148,8 @@ def d_theta(phi, grid):
     """
     if grid.n_theta == 1:
         return np.zeros_like(phi)
-    out = np.empty_like(phi)
-    np.subtract(phi[..., 2:], phi[..., :-2], out=out[..., 1:-1])
-    np.subtract(phi[..., 1], phi[..., -1], out=out[..., 0])
-    np.subtract(phi[..., 0], phi[..., -2], out=out[..., -1])
+    out = roll_theta(phi, -1)
+    out -= roll_theta(phi, 1)
     out /= 2.0 * grid.dtheta
     return out
 

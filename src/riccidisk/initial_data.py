@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AmplitudeError, DomainError, PositivityError, UsageError
 from .geometry import ConformalMetric, enforce_curvature_neumann
-from .grid import PolarGrid, radial_derivative_at_boundary
+from .grid import PolarGrid
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,3 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
         f"max admissible |epsilon| is about {bound:.4g}",
         max_epsilon=bound,
     )
-
-
-def compatibility_residual(m: ConformalMetric) -> float:
-    """max over boundary nodes of |d_r R| at r = 1 (one-sided stencil)."""
-    return float(np.max(np.abs(radial_derivative_at_boundary(m.R, m.grid))))

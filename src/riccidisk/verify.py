@@ -10,7 +10,11 @@ two-parameter tolerance model
 with constants calibrated once on the reference configurations (hemisphere
 flows and manufactured static fields) and frozen; static checks use dt = 0.
 Negative controls deliberately violate a hypothesis and are expected to
-fail the same model.
+fail the same model.  ``negctrl_incompatible_bc`` errs by 150-180, about
+1.1 max(|lhs|, |rhs|), on every grid, so it is detected only where
+C2 h^2 is below about 1.1: on every 1-D grid, and on 2-D grids with
+n_theta >= 28 (h = dtheta).  64x32 is the smallest grid of the
+n_r = 2 n_theta family that detects it; 16x8, 32x16 and 48x24 do not.
 """
 
 import json

@@ -23,7 +23,7 @@ from riccidisk.cli import (
     main,
     parse_config,
 )
-from riccidisk.errors import ConfigurationError, RicciDiskError, UsageError
+from riccidisk.errors import RicciDiskError, UsageError
 from riccidisk.flow import FlowSchedule, FlowTrajectory, Termination, run
 from riccidisk.grid import GridSpec
 from riccidisk.initial_data import CapParams, PerturbationParams
@@ -83,10 +83,10 @@ def test_key_table_is_pinned():
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: GridSpec(4), ConfigurationError, "n_r must be >= 8, got 4"),
-        (lambda: GridSpec(32, 9), ConfigurationError,
+        (lambda: GridSpec(4), UsageError, "n_r must be >= 8, got 4"),
+        (lambda: GridSpec(32, 9), UsageError,
          "n_theta must be 1 or an even integer >= 8, got 9"),
-        (lambda: GridSpec(32, 4), ConfigurationError,
+        (lambda: GridSpec(32, 4), UsageError,
          "n_theta must be 1 or an even integer >= 8, got 4"),
         (lambda: CapParams(0.0), UsageError, "cap parameter c must be positive, got 0.0"),
         (lambda: CapParams(float("nan")), UsageError,
@@ -131,26 +131,26 @@ def test_specs_are_frozen(spec, field):
 
 def test_parse_config_errors(tmp_path):
     p = _write_config(tmp_path / "c.cfg", **{"grid.n_r": None})
-    with pytest.raises(ConfigurationError, match="grid.n_r"):
+    with pytest.raises(UsageError, match="grid.n_r"):
         parse_config(str(p))
 
     p = tmp_path / "u.cfg"
     _write_config(p)
     p.write_text(p.read_text() + "bogus.key = 1\n")
-    with pytest.raises(ConfigurationError, match="bogus.key"):
+    with pytest.raises(UsageError, match="bogus.key"):
         parse_config(str(p))
 
     p = tmp_path / "d.cfg"
     _write_config(p)
     p.write_text(p.read_text() + "grid.n_r = 32\n")
-    with pytest.raises(ConfigurationError, match="duplicate"):
+    with pytest.raises(UsageError, match="duplicate"):
         parse_config(str(p))
 
     p = _write_config(tmp_path / "b.cfg", **{"schedule.t_end": "soon"})
-    with pytest.raises(ConfigurationError, match="schedule.t_end"):
+    with pytest.raises(UsageError, match="schedule.t_end"):
         parse_config(str(p))
 
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         parse_config(str(tmp_path / "missing.cfg"))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from riccidisk import _cg, elliptic
 from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
 from riccidisk.errors import CompatibilityError, DomainError, SolverError
-from riccidisk.geometry import laplace_beltrami, normal_derivative, scalar_curvature
+from riccidisk.geometry import make_metric, normal_derivative, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid, ghost_mirror, integrate_volume, laplacian0
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 
@@ -69,7 +69,7 @@ def _mean_adjust(rho, m):
 def test_manufactured_solution_radial(hemisphere_1d):
     m = hemisphere_1d
     f_exact = _mms_field(m.grid)
-    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost=f_exact[-1]), m)
+    rho = _mean_adjust(laplacian0(f_exact, m.grid, ghost_mirror(f_exact)) * m.exp_neg_u, m)
     sol = solve_poisson_neumann(rho, m)
     f_exact = f_exact - integrate_volume(f_exact, m) / m.v_M
     assert np.max(np.abs(sol.f - f_exact)) < 2e-4
@@ -78,7 +78,7 @@ def test_manufactured_solution_radial(hemisphere_1d):
 def test_manufactured_solution_angular(hemisphere_2d):
     m = hemisphere_2d
     f_exact = _mms_field(m.grid)
-    rho = _mean_adjust(laplace_beltrami(f_exact, m, ghost=f_exact[-1]), m)
+    rho = _mean_adjust(laplacian0(f_exact, m.grid, ghost_mirror(f_exact)) * m.exp_neg_u, m)
     sol = solve_poisson_neumann(rho, m)
     f_exact = f_exact - integrate_volume(f_exact, m) / m.v_M
     assert np.max(np.abs(sol.f - f_exact)) < 5e-3
@@ -289,6 +289,23 @@ def test_non_finite_data_raises(bad):
     rho = _mean_adjust(np.cos(g.theta)[None, :] * g.r[:, None], m)
     rho[3, 2] = bad
     with pytest.raises(DomainError):
+        solve_poisson_neumann(rho, m)
+
+
+# finite rho whose weighted terms rho exp(u) w_vol overflow to +-inf, or
+# whose exact sum's partial sums overflow in math.fsum
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "n_r, n_theta, u, amp",
+    [(16, 1, 710.0, 1.0), (64, 32, 710.0, 1.0), (64, 32, 0.0, 1.7e308),
+     (64, 32, 5.0, 1e308), (64, 32, 700.0, 1e300)],
+)
+def test_overflowing_data_raises_domain_error(n_r, n_theta, u, amp):
+    g = build_grid(GridSpec(n_r, n_theta))
+    m = make_metric(np.full((n_r, n_theta), u), g)
+    rho = np.full((n_r, n_theta), amp)
+    rho[n_r // 2:] = -amp
+    with pytest.raises(DomainError, match="rho exp"):
         solve_poisson_neumann(rho, m)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riccidisk.errors import DomainError, UsageError
 from riccidisk.geometry import (
+    ConformalMetric,
     boundary_laplacian,
     gauss_bonnet_residual,
     geodesic_curvature,
@@ -93,7 +94,7 @@ def test_gauss_bonnet_holds_for_any_ghost_ring(n_r, n_theta, c, seed):
     rng = np.random.default_rng(seed)
     u = spherical_cap(CapParams(c), g).u + 0.05 * rng.standard_normal((n_r, n_theta))
     ghost = ghost_extrapolate(u) + 0.1 * rng.standard_normal(n_theta)
-    assert gauss_bonnet_residual(make_metric(u, g, ghost=ghost)) <= 1e-12
+    assert gauss_bonnet_residual(ConformalMetric(u, g, ghost)) <= 1e-12
 
 
 def test_metric_is_frozen(hemisphere_2d):
@@ -235,7 +236,7 @@ def test_boundary_laplacian_fourier_mode(flat_2d):
 
 def test_scalar_curvature_respects_stored_ghost(grid_1d):
     u = np.zeros((grid_1d.n_r, 1))
-    m_mirror = make_metric(u, grid_1d, ghost=ghost_mirror(u))
+    m_mirror = ConformalMetric(u, grid_1d, ghost_mirror(u))
     m_extrap = make_metric(u, grid_1d)
     assert np.max(np.abs(scalar_curvature(m_extrap))) < 1e-12
     assert np.max(np.abs(scalar_curvature(m_mirror))) < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from riccidisk._kernels import flux_stencil, kahan_sum
-from riccidisk.errors import ConfigurationError
+from riccidisk.errors import UsageError
 from riccidisk.grid import (
     GridSpec,
     boundary_value,
@@ -26,14 +26,14 @@ from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap
 
 
 def test_spec_validation_rejects_small_n_r():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GridSpec(4, 1)
 
 
 def test_spec_validation_rejects_odd_n_theta():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GridSpec(32, 9)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError):
         GridSpec(32, 4)
     GridSpec(32, 1)
     GridSpec(32, 10)
@@ -199,3 +199,34 @@ def test_first_and_second_differences_match_their_formulas(n_theta):
         assert np.array_equal(d_theta(phi[-1], g), centered[-1])
     else:
         assert np.array_equal(d_theta(phi, g), np.zeros_like(phi))
+
+
+def _d_theta_by_slices(phi, grid):
+    """The centered periodic difference with its wraparound written out."""
+    out = np.empty_like(phi)
+    np.subtract(phi[..., 2:], phi[..., :-2], out=out[..., 1:-1])
+    np.subtract(phi[..., 1], phi[..., -1], out=out[..., 0])
+    np.subtract(phi[..., 0], phi[..., -2], out=out[..., -1])
+    out /= 2.0 * grid.dtheta
+    return out
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(8, 8), (64, 32), (128, 64)])
+def test_d_theta_is_the_slice_stencil_bit_for_bit(n_r, n_theta):
+    g = build_grid(GridSpec(n_r, n_theta))
+    rng = np.random.default_rng(n_r + n_theta)
+    phi = rng.standard_normal((n_r, n_theta))
+    # zero neighbours of mixed sign: d_theta is +0.0 at j = 1 and -0.0 at
+    # j = -1, and the signs of zero must match too
+    phi[0, [0, 2, -2]] = [-0.0, 0.0, 0.0]
+    for field in (phi, phi[-1], boundary_value(phi)):
+        assert d_theta(field, g).tobytes() == _d_theta_by_slices(field, g).tobytes()
+
+
+def test_d_theta_on_one_angle_is_positive_zero():
+    g = build_grid(GridSpec(128, 1))
+    phi = np.random.default_rng(0).standard_normal((128, 1))
+    for field in (phi, phi[-1]):
+        out = d_theta(field, g)
+        assert out.shape == field.shape
+        assert np.all(out == 0.0) and not np.signbit(out).any()

@@ -22,9 +22,9 @@ from riccidisk import entropy, flow, geometry, verify
 from riccidisk.cli import EXIT_OK, main
 from riccidisk.elliptic import potential_f
 from riccidisk.geometry import (
+    ConformalMetric,
     boundary_gradient_inner,
     grad_norm_sq,
-    make_metric,
     shifted_hessian_norm_sq,
 )
 from riccidisk.grid import (
@@ -133,7 +133,7 @@ def _fast_step(s, dt, stages):
 def _offset_closure(u, grid):
     """A run's t = 0 closure with its ghost offset u_ghost - u[-1] times 1.01."""
     m = _CLOSE(u, grid)
-    return make_metric(m.u, grid, m.u[-1] + 1.01 * (m.u_ghost - m.u[-1]))
+    return ConformalMetric(m.u, grid, m.u[-1] + 1.01 * (m.u_ghost - m.u[-1]))
 
 
 def _second_derivative_N_without_boundary(traj):

@@ -136,6 +136,36 @@ def test_negative_controls_fail(grid_1d):
     assert not negctrl_relation_corrupt(m, TAU).passed
 
 
+# the control's abs_err is 170-178 here, about 1.1 max(|lhs|, |rhs|); at
+# n_theta <= 24, C2 h^2 (h = dtheta) of the frozen model is >= 1.37, so the
+# bound C2 h^2 max(|lhs|, |rhs|) allows more than 100% relative error.
+# n_theta = 28 (C2 h^2 = 1.01) is the coarsest angle count that detects it
+_BLIND_ON_COARSE_2D = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="not detected below 64x32: abs_err 170-178 against C2 h^2 >= 1.37 "
+    "times max(|lhs|, |rhs|) (ROADMAP item S)",
+)
+
+
+@pytest.mark.parametrize(
+    "n_r, n_theta",
+    [
+        pytest.param(16, 8, marks=_BLIND_ON_COARSE_2D),
+        pytest.param(32, 16, marks=_BLIND_ON_COARSE_2D),
+        pytest.param(48, 24, marks=_BLIND_ON_COARSE_2D),
+        (32, 28),
+        (64, 32),
+        (128, 64),
+        (32, 1),
+        (64, 1),
+        (128, 1),
+    ],
+)
+def test_incompatible_bc_control_is_detected(n_r, n_theta):
+    assert not negctrl_incompatible_bc(build_grid(GridSpec(n_r, n_theta))).passed
+
+
 @pytest.mark.parametrize("check", [check_relation, negctrl_relation_corrupt])
 def test_relation_checks_evaluate_w_once(grid_1d, monkeypatch, check):
     m = spherical_cap(CapParams(0.5), grid_1d)
