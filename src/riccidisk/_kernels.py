@@ -69,6 +69,8 @@ def kahan_sum(values):
     raise ``OverflowError`` on them although the exact sum is finite) and an
     exact sum of zero (fsum decides its sign).
     """
+    # bucketed, not math.fsum alone: on a shared 2-CPU VM fsum took 418 us against
+    # 72 us at 8,192 terms, about 6.6 ms more per cap-2d-records run
     x = np.ascontiguousarray(values, dtype=np.float64)
     n = x.size
     if n < _FSUM_BELOW or n >= _BUCKET_MAX_TERMS:

@@ -68,10 +68,12 @@ class ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
+    # ValueError: a NUL byte in the path, or text that is not UTF-8; a leading
+    # byte-order mark is dropped (the utf-8-sig codec costs an import per run)
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+            lines = fh.read().removeprefix("\ufeff").split("\n")
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
 
     values = {}
@@ -127,7 +129,7 @@ def _write_lines(path, lines):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 

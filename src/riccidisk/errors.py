@@ -10,11 +10,7 @@ class UsageError(RicciDiskError):
 
 
 class DomainError(RicciDiskError):
-    """A mathematical precondition failed (e.g. log of a nonpositive field)."""
-
-
-class CompatibilityError(RicciDiskError):
-    """The Neumann Poisson data violate solvability: int rho dv_g is not 0."""
+    """A mathematical precondition failed (e.g. log of R <= 0, unsolvable Neumann data)."""
 
 
 class SolverError(RicciDiskError):

@@ -196,15 +196,14 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
     stage is tested finite (``DomainError``) and summed into a fresh array,
     term by term in the order of the formula above; R of Y_1 .. Y_{s-1}
     comes from ``_kernels.curvature`` on plain arrays.  Only Y_s becomes a
-    metric, its R cached from the same kernel, bit-identical to
-    ``scalar_curvature`` of it.  A super-step thus costs one ``rhs`` call,
+    metric, whose lazy R (``scalar_curvature``, the same kernel call) the
+    positivity test evaluates.  A super-step thus costs one ``rhs`` call,
     ``stages`` curvature passes and one metric; the last R serves the
     positivity test, the next super-step and the record.
     """
     m0 = s.metric
     u0, grid = m0.u, m0.grid
     offset = m0.u_ghost - u0[-1]
-    stencil = grid.stencil
     l0 = rhs(m0)
     mu1, rows = _rkl2_coefficients(stages)
     y = l0 * (mu1 * dt)
@@ -213,7 +212,7 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
     for mu, nu, c, mu_t, gamma_t in rows:
         if not np.isfinite(cur).all():
             raise DomainError(f"a stage of the step to t = {s.t + dt:.6g} is not finite")
-        k = _kernels.curvature(cur, cur[-1] + offset, *stencil)
+        k = _kernels.curvature(cur, cur[-1] + offset, *grid.stencil)
         k *= -(mu_t * dt)
         y = mu * cur
         y += nu * prev
@@ -221,9 +220,7 @@ def step(s: FlowState, dt: float, stages: int) -> FlowState:
         y += k
         y += (gamma_t * dt) * l0
         prev, cur = cur, y
-    ghost = y[-1] + offset
-    m = ConformalMetric(y, grid, ghost)
-    vars(m)["R"] = _kernels.curvature(y, ghost, *stencil)  # fills the lazy R
+    m = ConformalMetric(y, grid, y[-1] + offset)
     r_min = float(m.R.min())
     if not r_min > 0.0:  # NaN fails too
         raise PositivityError(

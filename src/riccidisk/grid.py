@@ -44,7 +44,8 @@ class GridSpec:
             )
 
 
-@dataclass(frozen=True)
+# eq=False: a grid compares and hashes by identity, so it keys elliptic._operator's cache
+@dataclass(frozen=True, eq=False)
 class PolarGrid:
     """Node coordinates and quadrature weights for the flat unit disk."""
 

@@ -57,17 +57,13 @@ def cap_u(c, r):
     return np.log(4.0) - 2.0 * np.log1p(c * r * r)
 
 
-def spherical_cap(p: CapParams, grid: PolarGrid, normalize_volume=False) -> ConformalMetric:
-    """Constant-curvature cap; ``normalize_volume`` rescales to v(M) = 4 pi.
+def spherical_cap(p: CapParams, grid: PolarGrid) -> ConformalMetric:
+    """The constant-curvature cap: :func:`perturbed_cap` at epsilon = 0.
 
-    The rescaled metric (1 + c) g_c has R = 2c/(1 + c) and remains convex
-    for c < 1; it is the admissible family for the Euler-characteristic
-    form of the entropy, which requires initial volume 4 pi chi.
+    Raises PositivityError, as that function does, when the cap has no
+    positive curvature on the grid.
     """
-    u = np.broadcast_to(cap_u(p.c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
-    if normalize_volume:
-        u += np.log(1.0 + p.c)
-    return enforce_curvature_neumann(u, grid)
+    return perturbed_cap(p, PerturbationParams(0.0), grid)
 
 
 def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> ConformalMetric:
@@ -75,7 +71,8 @@ def perturbed_cap(base: CapParams, p: PerturbationParams, grid: PolarGrid) -> Co
 
     The data are closed by :func:`geometry.enforce_curvature_neumann`
     only; the profile makes them compatible (see the module docstring).  At
-    epsilon = 0 the result is :func:`spherical_cap`'s, bit for bit.
+    epsilon = 0 the perturbation adds exact zeros, so u is the cap profile
+    :func:`cap_u` bit for bit.
 
     Raises AmplitudeError (with the bisected maximal admissible amplitude)
     when the requested epsilon destroys curvature positivity, and

@@ -10,7 +10,7 @@ import numpy as np
 from riccidisk.cli import EXIT_OK, main
 from riccidisk.entropy import hamilton_entropy
 from riccidisk.flow import FlowSchedule, cfl_dt, run
-from riccidisk.geometry import geodesic_curvature, make_metric
+from riccidisk.geometry import enforce_curvature_neumann, geodesic_curvature, make_metric
 from riccidisk.grid import GridSpec, build_grid
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
 from riccidisk.verify import (
@@ -188,7 +188,8 @@ def test_criterion_7_relation(capsys):
     from riccidisk.entropy import entropy_euler_form
 
     g = build_grid(GridSpec(128, 1))
-    m0 = spherical_cap(CapParams(0.5), g, normalize_volume=True)
+    # the cap rescaled by 1 + c to volume 4 pi, which the Euler form requires
+    m0 = enforce_curvature_neumann(spherical_cap(CapParams(0.5), g).u + np.log(1.0 + 0.5), g)
     traj = run(m0, FlowSchedule(t_end=0.1, record_every=200), 0.5)
     vals = entropy_euler_form(traj)
     err = max(abs(v - r.E_partial) for v, r in zip(vals, traj.records))

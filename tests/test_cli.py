@@ -415,6 +415,36 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, key, che
     assert err.startswith("error:") and str(out) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, out, bom",
+    [
+        ("run", "t\0.csv", False),
+        ("verify", "r\0.jsonl", False),
+        ("run", "t\0.csv", True),
+        ("run", "no_such_dir/out.txt", False),
+    ],
+    ids=["nul-run", "nul-verify", "bom-crlf-config", "unwritable"],
+)
+def test_output_error_is_one_error_line(tmp_path, capsys, command, out, bom):
+    # a NUL byte makes open() raise ValueError, not OSError; a config saved
+    # with a byte-order mark and CRLF line ends parses as the plain one
+    key = "out.report_jsonl" if command == "verify" else "out.trajectory_csv"
+    values = dict(_VALID, **{"grid.n_r": 32, "verify.checks": "relation"})
+    values[key] = str(tmp_path / out)
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    if bom:
+        plain = parse_config(str(cfg))
+        cfg.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        assert parse_config(str(cfg)) == plain
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "cannot write" in errors[0]
+    assert "Traceback" not in err
+
+
 def _overcommits_always():
     try:
         with open("/proc/sys/vm/overcommit_memory") as fh:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from riccidisk import _cg, elliptic
 from riccidisk.elliptic import neumann_laplacian_matrix, potential_f, solve_poisson_neumann
-from riccidisk.errors import CompatibilityError, DomainError, SolverError
+from riccidisk.errors import DomainError, SolverError
 from riccidisk.geometry import make_metric, normal_derivative, scalar_curvature
 from riccidisk.grid import GridSpec, build_grid, ghost_mirror, integrate_volume, laplacian0
 from riccidisk.initial_data import CapParams, PerturbationParams, perturbed_cap, spherical_cap
@@ -103,14 +103,14 @@ def test_manufactured_solution_converges():
 
 def test_incompatible_data_raises(hemisphere_1d):
     rho = np.ones((hemisphere_1d.grid.n_r, 1))
-    with pytest.raises(CompatibilityError):
+    with pytest.raises(DomainError, match="compatibility"):
         solve_poisson_neumann(rho, hemisphere_1d)
 
 
 def test_small_incompatible_data_raises(hemisphere_2d):
     # the bound scales with max|rho|, so tiny data is held to it too
     rho = np.full(hemisphere_2d.u.shape, 1e-30)
-    with pytest.raises(CompatibilityError):
+    with pytest.raises(DomainError, match="compatibility"):
         solve_poisson_neumann(rho, hemisphere_2d)
 
 
@@ -161,8 +161,24 @@ def test_matrix_matches_loop_reference(n_r, n_theta):
     assert np.array_equal(A.indices, ref.indices)
     # the stencil and the sums of flux coefficients round differently
     np.testing.assert_allclose(A.data, ref.data, rtol=1e-14, atol=0.0)
-    _, a_norm = elliptic._operator(n_r, n_theta)
+    _, a_norm = elliptic._operator(g)
     np.testing.assert_allclose(a_norm, abs(ref).sum(axis=1).max(), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(128, 1), (64, 32)])
+def test_operator_of_a_grid_is_the_factorization_of_its_spec(n_r, n_theta):
+    # the factorization is cached per grid object; a second grid of the same
+    # spec gets its own, which must solve bit for bit alike
+    spec = GridSpec(n_r, n_theta)
+    g = build_grid(spec)
+    solve, a_norm = elliptic._operator(g)
+    assert elliptic._operator(g)[0] is solve
+    other, other_norm = elliptic._operator(build_grid(spec))
+    assert other is not solve and other_norm == a_norm
+    for seed in range(5):
+        r = np.random.default_rng(seed).standard_normal(n_r * n_theta)
+        r -= r.mean()
+        assert solve(r).tobytes() == other(r).tobytes()
 
 
 @pytest.mark.parametrize("n_r,n_theta", [(8, 1), (377, 1), (16, 8), (40, 24)])
@@ -174,12 +190,12 @@ def test_operator_is_the_flux_laplacian_kernel(n_r, n_theta):
     assert np.array_equal(neumann_laplacian_matrix(g)(x), expected)
 
 
-def _minus_operator(n_r, n_theta):
-    A = neumann_laplacian_matrix(build_grid(GridSpec(n_r, n_theta)))
+def _minus_operator(g):
+    A = neumann_laplacian_matrix(g)
     return lambda p: -A(p)
 
 
-def _poisson_rhs(n_r, n_theta):
+def _poisson_rhs(g):
     """A CG right-hand side -b: volume-weighted, mean-adjusted smooth data.
 
     Built from explicit fields rather than from ``perturbed_cap``, so that
@@ -187,7 +203,6 @@ def _poisson_rhs(n_r, n_theta):
     2048x1 one preconditioned iteration leaves a relative residual of about
     3e-10, above CG's rtol, and a second one about 1e-15.
     """
-    g = build_grid(GridSpec(n_r, n_theta))
     r = g.r[:, None]
     rho = np.cos(np.pi * r) + r**3 * np.sin(3.0 * g.theta)[None, :]
     b = (rho * g.w_vol).ravel()
@@ -200,9 +215,10 @@ def _poisson_rhs(n_r, n_theta):
     ids=["one-iteration", "two-iterations", "stalled"],
 )
 def test_package_cg_replays_scipy_cg(n_r, n_theta, preconditioned, iterations):
-    solve, _ = elliptic._operator(n_r, n_theta)
-    minus_A = _minus_operator(n_r, n_theta)
-    minus_b = _poisson_rhs(n_r, n_theta)
+    g = build_grid(GridSpec(n_r, n_theta))
+    solve, _ = elliptic._operator(g)
+    minus_A = _minus_operator(g)
+    minus_b = _poisson_rhs(g)
     n = minus_b.size
     M = solve if preconditioned else np.copy
     kwargs = dict(rtol=elliptic.DEFAULT_TOL, maxiter=elliptic.CG_MAXITER)
@@ -270,8 +286,8 @@ def test_stalled_solve_raises(monkeypatch):
     m = perturbed_cap(CapParams(0.5), PerturbationParams(0.04, 3), g)
     operator = elliptic._operator
 
-    def unpreconditioned(n_r, n_theta):
-        _, a_norm = operator(n_r, n_theta)
+    def unpreconditioned(grid):
+        _, a_norm = operator(grid)
         return np.copy, a_norm
 
     monkeypatch.setattr(elliptic, "_operator", unpreconditioned)
@@ -404,7 +420,7 @@ SCAN_GRIDS = [(8, 1), (128, 1), (2048, 1), (64, 32), (128, 64), (256, 128)]
 
 @pytest.mark.parametrize("n_r,n_theta", SCAN_GRIDS)
 def test_scan_preconditioner_matches_the_sequential_thomas_solve(n_r, n_theta):
-    solve, _ = elliptic._operator(n_r, n_theta)
+    solve, _ = elliptic._operator(build_grid(GridSpec(n_r, n_theta)))
     reference = _reference_thomas(n_r, n_theta)
     for seed in range(3):
         r = np.random.default_rng(seed).standard_normal(n_r * n_theta)
@@ -418,7 +434,7 @@ def test_one_angle_solve_is_the_fft_path_bit_for_bit(n_r):
     # a complex number with a zero imaginary part times a real factor is the
     # real product exactly, so skipping the DFT changes no bit, signed zeros
     # included
-    solve, _ = elliptic._operator(n_r, 1)
+    solve, _ = elliptic._operator(build_grid(GridSpec(n_r, 1)))
     oracle = _fft_scan_solve(n_r, 1)
     inputs = [np.zeros(n_r), -np.zeros(n_r), np.where(np.arange(n_r) % 2, 0.0, -0.0)]
     for seed in range(20):
@@ -447,7 +463,7 @@ def test_scan_pins_the_last_ring_of_mode_0_to_exactly_zero(n_r, n_theta, monkeyp
             solved.append(np.asarray(self).reshape(n_r, 1).copy())
             return np.asarray(self).mean(*args, **kwargs)
 
-    solve, _ = elliptic._operator(n_r, n_theta)
+    solve, _ = elliptic._operator(build_grid(GridSpec(n_r, n_theta)))
     r = np.random.default_rng(7).standard_normal(n_r * n_theta)
     r -= r.mean()
     if n_theta == 1:

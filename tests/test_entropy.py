@@ -22,6 +22,7 @@ from riccidisk.geometry import (
     EULER_CHARACTERISTIC,
     ConformalMetric,
     boundary_gradient_inner,
+    enforce_curvature_neumann,
     gauss_bonnet_residual,
     grad_norm_sq,
     make_metric,
@@ -228,7 +229,8 @@ def test_euler_form_requires_normalized_volume(grid_1d):
 
 
 def test_euler_form_matches_entropy(grid_1d):
-    m = spherical_cap(CapParams(0.5), grid_1d, normalize_volume=True)
+    u = spherical_cap(CapParams(0.5), grid_1d).u + np.log(1.0 + 0.5)  # volume 4 pi
+    m = enforce_curvature_neumann(u, grid_1d)
     traj = run(m, FlowSchedule(t_end=0.05, record_every=200), w_horizon=0.5)
     vals = entropy_euler_form(traj)
     errs = [abs(v - r.E_partial) for v, r in zip(vals, traj.records)]
@@ -258,7 +260,8 @@ def test_euler_form_matches_the_per_record_reference(
     # (three super-steps make a record interval)
     if max_steps is not None:
         monkeypatch.setattr(riccidisk.flow, "MAX_STEPS", max_steps)
-    m = spherical_cap(CapParams(0.5), grid_1d, normalize_volume=True)
+    u = spherical_cap(CapParams(0.5), grid_1d).u + np.log(1.0 + 0.5)  # volume 4 pi
+    m = enforce_curvature_neumann(u, grid_1d)
     traj, states = run_keeping_every_state(m, FlowSchedule(t_end=0.05, record_every=50))
     limited = traj.termination is Termination.STEP_LIMIT
     assert limited == (max_steps is not None)

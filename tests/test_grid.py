@@ -57,6 +57,14 @@ def test_grid_constants_are_read_only(n_theta):
             a += 1.0
 
 
+def test_grids_compare_and_hash_by_identity():
+    # two grids of one spec are two cache keys; their arrays are never compared
+    a, b = build_grid(GridSpec(16, 8)), build_grid(GridSpec(16, 8))
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+    assert len({a, b, a}) == 2
+
+
 def test_stencil_planes_are_contiguous_copies_of_the_columns():
     g = build_grid(GridSpec(16, 8))
     columns = flux_stencil(g.r, g.dr, g.dtheta)

@@ -8,7 +8,7 @@ import pytest
 
 import riccidisk
 from riccidisk.errors import AmplitudeError, PositivityError, UsageError
-from riccidisk.geometry import scalar_curvature
+from riccidisk.geometry import enforce_curvature_neumann, scalar_curvature
 from riccidisk.grid import (
     GridSpec,
     build_grid,
@@ -18,6 +18,7 @@ from riccidisk.grid import (
 from riccidisk.initial_data import (
     CapParams,
     PerturbationParams,
+    cap_u,
     perturbed_cap,
     spherical_cap,
 )
@@ -116,13 +117,42 @@ def test_perturbed_cap_positive_curvature(grid_2d):
         assert scalar_curvature(m).min() > 0.0
 
 
+def _direct_cap(c, grid, normalize_volume=False):
+    """The cap profile closed directly, without the perturbation path.
+
+    ``normalize_volume`` rescales it by 1 + c to the metric (1 + c) g_c,
+    which has R = 2c / (1 + c) and volume 4 pi, as the Euler form of the
+    entropy requires.
+    """
+    u = np.broadcast_to(cap_u(c, grid.r)[:, None], (grid.n_r, grid.n_theta)).copy()
+    if normalize_volume:
+        u += np.log(1.0 + c)
+    return enforce_curvature_neumann(u, grid)
+
+
 def test_zero_perturbation_recovers_cap(grid_1d, grid_2d):
+    # spherical_cap, perturbed_cap at epsilon = 0 and the cap rescaled from
+    # spherical_cap's u are the directly closed profile, bit for bit
     for grid, mode in ((grid_1d, 0), (grid_2d, 2)):
-        cap = spherical_cap(CapParams(0.5), grid)
-        m = perturbed_cap(CapParams(0.5), PerturbationParams(0.0, mode), grid)
-        assert np.array_equal(m.u, cap.u)
-        assert np.array_equal(m.u_ghost, cap.u_ghost)
-        assert np.array_equal(m.R, cap.R)
+        for c in (0.5, 1.0):
+            cap = spherical_cap(CapParams(c), grid)
+            built = [
+                (cap, False),
+                (perturbed_cap(CapParams(c), PerturbationParams(0.0, mode), grid), False),
+                (enforce_curvature_neumann(cap.u + np.log(1.0 + c), grid), True),
+            ]
+            for m, normalize_volume in built:
+                ref = _direct_cap(c, grid, normalize_volume)
+                for name in ("u", "u_ghost", "R"):
+                    assert getattr(m, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_spherical_cap_without_positive_curvature_raises(grid_1d, grid_2d):
+    # c r^2 vanishes against 1, so u is the constant log 4 and R is 0
+    for grid in (grid_1d, grid_2d):
+        with pytest.raises(PositivityError, match="cap c = 1e-300") as exc:
+            spherical_cap(CapParams(1e-300), grid)
+        assert exc.value.min_r == 0.0
 
 
 def test_import_loads_no_integrator_entropy_or_solver():

@@ -12,6 +12,7 @@ from riccidisk.errors import UsageError
 from riccidisk.flow import FlowSchedule, Termination, cfl_dt, run
 from riccidisk.geometry import (
     boundary_gradient_inner,
+    enforce_curvature_neumann,
     laplace_beltrami,
     scalar_curvature,
     shifted_hessian_norm_sq,
@@ -267,7 +268,11 @@ _CRITERION_RUNS = {
         lambda g: perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 0), g), 0.02, 100
     ),
     "criterion-7": lambda: _criterion_1d_run(
-        lambda g: spherical_cap(CapParams(0.5), g, normalize_volume=True), 0.1, 200
+        lambda g: enforce_curvature_neumann(
+            spherical_cap(CapParams(0.5), g).u + np.log(1.0 + 0.5), g
+        ),
+        0.1,
+        200,
     ),
 }
 
