@@ -9,10 +9,11 @@ Commands:
     riccidisk convergence <config>   run convergence studies, write a CSV
 
 Configs are flat ``key = value`` lines with a fixed key set; unknown and
-duplicate keys are reported with their line numbers, missing keys by
-name.  ``-h`` or ``--help`` prints this text.  Exit codes: 0 success,
-1 configuration or usage error (an output that cannot be written
-included), 2 flow terminated early, 3 verification failure.
+duplicate keys are reported with their line numbers, missing keys and
+unknown or repeated ``verify.checks`` names by name.  ``-h`` or
+``--help`` prints this text.  Exit codes: 0 success, 1 configuration or
+usage error (an output that cannot be written included), 2 flow
+terminated early, 3 verification failure.
 """
 
 import math
@@ -154,12 +155,15 @@ def _run_check(name, initial, traj, tau):
 
 
 def _require_checks(checks, known, unknown_message):
-    """Reject an empty ``verify.checks`` or one naming a check not in ``known``."""
+    """Reject an empty ``verify.checks`` or one naming an unknown or repeated check."""
     if not checks:
         raise UsageError("verify.checks is empty")
     unknown = [c for c in checks if c not in known]
     if unknown:
         raise UsageError(f"{unknown_message}: {', '.join(unknown)}")
+    repeated = [c for c in dict.fromkeys(checks) if checks.count(c) > 1]
+    if repeated:
+        raise UsageError(f"verify.checks names more than once: {', '.join(repeated)}")
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:

@@ -187,9 +187,7 @@ def _solve_neumann(rho, m: ConformalMetric, scale: float) -> NeumannSolution:
     v_m = m.v_M
 
     with np.errstate(all="ignore"):  # non-finite data or an overflow fail below
-        b = rho * m.exp_u
-        b *= grid.w_vol
-    b = b.ravel()
+        b = (rho * m.dv).ravel()
     if not np.isfinite(b).all():
         raise DomainError("Poisson data rho exp(u) is not finite")
     # int rho dv_g, a pairwise sum: for compatible data it is the rounding

@@ -46,15 +46,16 @@ class ConformalMetric:
     metric: the curvature quantities R, log R, v(M), int R dv, Rbar, kappa
     and int kappa ds; the boundary trace u_b of u, which every boundary
     operator and ``grid.integrate_boundary`` read; the conformal factors
-    exp(u), exp(-u) and exp(-2u); and the flat first derivatives (d_r,
-    d_theta) of u (with its ghost ring) and of log R (extrapolated ghost).
+    exp(u), exp(-u), exp(-2u) and the volume element dv = exp(u) w_vol; and
+    the flat first derivatives (d_r, d_theta) of u (with its ghost ring) and
+    of log R (extrapolated ghost).
     Metrics built by the curvature-Neumann closure
     (:func:`enforce_curvature_neumann`, which the initial-data module and
     a run's t = 0 state use) arrive with R already cached: the closure and
     :func:`scalar_curvature` share one flux-Laplacian body in ``_kernels``
     and finish its last ring alike, so the cached R is bit-identical to
     what :func:`scalar_curvature` returns.
-    The factors and derivatives are read-only.  The arrays u and u_ghost
+    The factors, dv and derivatives are read-only.  The arrays u and u_ghost
     must not be modified in place once the metric exists.
     """
 
@@ -94,6 +95,10 @@ class ConformalMetric:
         return _read_only(np.exp(self.u))
 
     @cached_property
+    def dv(self) -> np.ndarray:
+        return _read_only(self.exp_u * self.grid.w_vol)
+
+    @cached_property
     def exp_neg_u(self) -> np.ndarray:
         return _read_only(np.exp(-self.u))
 
@@ -113,7 +118,7 @@ class ConformalMetric:
 
     @cached_property
     def v_M(self) -> float:
-        return integrate_volume(np.ones_like(self.u), self)
+        return float(np.sum(self.dv))
 
     @cached_property
     def int_R(self) -> float:

@@ -211,9 +211,7 @@ def integrate_volume(phi, metric):
     The sum of n terms is within n eps sum|terms| of the exact one, and it
     is deterministic for one machine and numpy build.
     """
-    weighted = phi * metric.exp_u
-    weighted *= metric.grid.w_vol
-    return float(np.sum(weighted))
+    return float(np.sum(phi * metric.dv))
 
 
 def integrate_boundary(psi, metric):

@@ -500,6 +500,24 @@ def test_cmd_verify_rejects_empty_or_unknown_checks(tmp_path):
     assert main(["verify", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, checks, repeated",
+    [
+        ("verify", "hamilton, hamilton", "hamilton"),
+        ("verify", "relation, guo, relation, guo, relation", "relation, guo"),
+        ("convergence", "reilly, reilly", "reilly"),
+    ],
+)
+def test_repeated_checks_are_a_config_error(tmp_path, capsys, command, checks, repeated):
+    cfg = _write_config(tmp_path / "c.cfg", **{"grid.n_r": 32, "verify.checks": checks})
+    assert main([command, str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: verify.checks names more than once: {repeated}"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.jsonl").exists() and not (tmp_path / "traj.csv").exists()
+
+
 def test_cmd_verify_flags_passing_negative_control(tmp_path, monkeypatch):
     from riccidisk.verify import IdentityReport
 

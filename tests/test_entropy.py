@@ -195,6 +195,37 @@ def test_sign_structure_on_convex_caps(grid_2d):
     assert dW_dt_rhs(m, 1.0) >= 0.0
 
 
+# The first cap of seed 1 of the cap-2d benchmark workloads (c, eps, mode 2).
+# On its initial data dW_dt_rhs is 16.4268, 16.3740, 16.3600 and 16.9867 from
+# 64x32 to 512x256: the pole ring of |Hess log R + (R/2 - 1/(2 tau)) g|^2
+# grows from 56 at 128x64 to 6.7e4 at 512x256 (about 1.2 on ring 10)
+_GUO_CAP = (CapParams(0.4134364244112401), PerturbationParams(0.03763774618976614, 2))
+
+
+@pytest.mark.parametrize(
+    "n_r",
+    [
+        256,
+        pytest.param(
+            512,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="the pole ring of the Guo-type integrand diverges: dW_dt_rhs "
+                "moves 0.627 from 256x128 to 512x256 against 0.014 the level before",
+            ),
+        ),
+    ],
+)
+def test_guo_rhs_converges_under_refinement(n_r):
+    # levels n_r/4, n_r/2 and n_r (n_theta = n_r / 2), tau = 0.5
+    rhs = [
+        dW_dt_rhs(perturbed_cap(*_GUO_CAP, build_grid(GridSpec(n, n // 2))), 0.5)
+        for n in (n_r // 4, n_r // 2, n_r)
+    ]
+    assert 3.0 * abs(rhs[2] - rhs[1]) <= abs(rhs[1] - rhs[0])
+
+
 def test_two_forms_of_dE_agree(grid_2d):
     m = perturbed_cap(CapParams(0.5), PerturbationParams(0.05, 2), grid_2d)
     sol = potential_f(m)

@@ -124,6 +124,8 @@ def test_cached_factors_and_derivatives_match_fresh_calls(n_theta, mode):
     assert np.array_equal(m.exp_u, np.exp(m.u))
     assert np.array_equal(m.exp_neg_u, np.exp(-m.u))
     assert np.array_equal(m.exp_neg_2u, np.exp(-2.0 * m.u))
+    assert m.dv.tobytes() == (m.exp_u * g.w_vol).tobytes()
+    assert m.v_M == float(np.sum(m.dv))
     u_r, u_t = m.du
     assert np.array_equal(u_r, d_r(m.u, g, m.u_ghost))
     assert np.array_equal(u_t, d_theta(m.u, g))
@@ -131,9 +133,9 @@ def test_cached_factors_and_derivatives_match_fresh_calls(n_theta, mode):
     assert np.array_equal(log_r_r, d_r(np.log(scalar_curvature(m)), g))
     assert np.array_equal(log_r_t, d_theta(np.log(scalar_curvature(m)), g))
     # shared by every functional of the metric, so they cannot be written
-    for cached in (m.exp_u, m.exp_neg_u, m.exp_neg_2u, *m.du, *m.dlog_R):
+    for cached in (m.exp_u, m.exp_neg_u, m.exp_neg_2u, m.dv, *m.du, *m.dlog_R):
         assert cached is not None and not cached.flags.writeable
-    assert m.du is m.du and m.exp_u is m.exp_u
+    assert m.du is m.du and m.exp_u is m.exp_u and m.dv is m.dv
 
 
 def test_hessian_trace_is_laplacian(hemisphere_2d):
